@@ -20,7 +20,7 @@
 //!   released by the kernel even if the writer dies, and readers never
 //!   lock (a reader racing an append sees either the old or the new
 //!   tail, both parseable). Filesystems without lock support degrade
-//!   to unlocked appends, which only the multi-writer backend notices.
+//!   to unlocked appends, which only concurrent writers notice.
 //! * **Degradation** — a torn line, a duplicate or interior header, a
 //!   corrupted shard, or a key mismatch (the stored axes no longer
 //!   hash to the stored key) makes exactly the affected points misses;
@@ -31,25 +31,17 @@
 //! misses, and appends them back — overlapping or grown specs pay only
 //! for their delta.
 //!
-//! Since PR 8 the CSV shards are only the *write-ahead* layer:
-//! `dse compact` folds them into a binary columnar generation
-//! ([`crate::compact`]) that loads with one `read` and zero per-row
-//! parsing. Readers overlay the live CSV tail (which wins) on that
-//! compact base, so appenders keep writing CSV exactly as before and
-//! never coordinate with the compactor beyond the shard locks.
-//!
 //! **Storage exhaustion degrades, it does not kill.** An append that
 //! fails with a *persistent* capacity error (ENOSPC, EROFS, quota,
 //! permissions — see [`ng_fault::is_exhaustion`]) diverts its rows to
 //! a per-process in-memory overlay instead of failing the run: this
 //! process keeps hitting those points ([`EvalCache::lookup`] and
-//! [`EvalCache::load_all`] consult the overlay after both disk
-//! layers), one stderr warning names the condition, and the
+//! [`EvalCache::load_all`] consult the overlay after the disk
+//! shards), one stderr warning names the condition, and the
 //! `store.degraded_appends` counter records every diverted row. The
 //! results are lost when the process exits — the next run simply
-//! re-evaluates them — which is strictly better than the alternative
-//! the store used to pick: a worker dying with `EXIT_STORE_APPEND`
-//! and delivering nothing.
+//! re-evaluates them — which is strictly better than failing a run
+//! that already computed its results.
 
 use std::collections::HashMap;
 use std::fs;
@@ -105,10 +97,8 @@ fn overlay_rows(store_dir: &Path) -> Vec<(u64, EvaluatedPoint)> {
 /// torn/corrupt lines are skipped *wherever* they appear, and a row
 /// whose stored axes no longer hash to its stated key is rejected
 /// (guards against truncation splices and rows copied across
-/// generations). Shared verbatim by the live reader and the compactor
-/// so a row folds into a generation exactly when a reader would have
-/// served it.
-pub(crate) fn parse_shard_text(text: &str) -> (Vec<(u64, EvaluatedPoint)>, u64) {
+/// generations).
+fn parse_shard_text(text: &str) -> (Vec<(u64, EvaluatedPoint)>, u64) {
     let mut rows = Vec::new();
     let mut skipped = 0u64;
     for line in text.lines() {
@@ -128,29 +118,6 @@ pub(crate) fn parse_shard_text(text: &str) -> (Vec<(u64, EvaluatedPoint)>, u64) 
         }
     }
     (rows, skipped)
-}
-
-/// One snapshot of the store's two read layers, gathered in a single
-/// pass per file — the `--cache-stats` backing data.
-#[derive(Debug, Clone, Default)]
-pub struct StoreStats {
-    /// `(rows, bytes)` per CSV shard of the live tail.
-    pub shards: Vec<(usize, u64)>,
-    /// The compact base, if one exists: `(generation seq, rows,
-    /// bytes)`.
-    pub base: Option<(u64, usize, u64)>,
-}
-
-impl StoreStats {
-    /// Total live CSV tail rows across shards.
-    pub fn tail_rows(&self) -> usize {
-        self.shards.iter().map(|(rows, _)| rows).sum()
-    }
-
-    /// Total live CSV tail bytes across shards.
-    pub fn tail_bytes(&self) -> u64 {
-        self.shards.iter().map(|(_, bytes)| bytes).sum()
-    }
 }
 
 /// A directory of point-level evaluation results.
@@ -214,8 +181,7 @@ impl EvalCache {
     ///
     /// Skipped data lines are not free information loss: each one is a
     /// point that will silently re-evaluate, so they are counted into
-    /// `cache.rows_skipped` (surfaced by `dse --cache-stats` and
-    /// audited precisely by `dse fsck`).
+    /// `cache.rows_skipped` (surfaced by `dse --cache-stats`).
     fn load_shard(&self, shard: usize) -> HashMap<u64, EvaluatedPoint> {
         let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
         let Ok(text) = fs::read_to_string(&path) else {
@@ -232,41 +198,23 @@ impl EvalCache {
     /// Look up every point of a sweep: `Some(result)` per hit (with the
     /// point's *current* spec index, not the index it was stored
     /// under), `None` per miss. Only the CSV shards the keys land in
-    /// are read; the compact base (if any) is loaded once, lazily, the
-    /// first time a key misses the tail. The tail wins on overlap —
-    /// rows appended since (or raced with) the last compaction shadow
-    /// their base copies.
+    /// are read.
     pub fn lookup(&self, points: &[DesignPoint]) -> Vec<Option<EvaluatedPoint>> {
         let keys: Vec<u64> = points.iter().map(Self::point_key).collect();
         let store_dir = self.store_dir();
         let mut shards: Vec<Option<HashMap<u64, EvaluatedPoint>>> =
             (0..SHARD_COUNT).map(|_| None).collect();
-        let mut base: Option<Option<crate::compact::CompactBase>> = None;
-        let (mut base_hits, mut tail_hits) = (0u64, 0u64);
-        let out = points
+        points
             .iter()
             .zip(&keys)
             .map(|(point, &key)| {
                 let shard = shards[Self::shard_of(key)]
                     .get_or_insert_with(|| self.load_shard(Self::shard_of(key)));
                 let stored = match shard.get(&key) {
-                    Some(stored) => {
-                        tail_hits += 1;
-                        *stored
-                    }
-                    None => match base
-                        .get_or_insert_with(|| crate::compact::load_latest(&store_dir))
-                        .as_ref()
-                        .and_then(|b| b.get(key))
-                    {
-                        Some(stored) => {
-                            base_hits += 1;
-                            stored
-                        }
-                        // Rows whose disk append hit storage exhaustion
-                        // exist only in the per-process overlay.
-                        None => overlay_get(&store_dir, key)?,
-                    },
+                    Some(stored) => *stored,
+                    // Rows whose disk append hit storage exhaustion
+                    // exist only in the per-process overlay.
+                    None => overlay_get(&store_dir, key)?,
                 };
                 // A 64-bit collision between different axis tuples is
                 // astronomically unlikely but cheap to rule out.
@@ -275,14 +223,7 @@ impl EvalCache {
                 }
                 Some(EvaluatedPoint { point: *point, ..stored })
             })
-            .collect();
-        if base_hits > 0 {
-            obs_counters::store_base_hits().add(base_hits);
-        }
-        if tail_hits > 0 {
-            obs_counters::store_tail_hits().add(tail_hits);
-        }
-        out
+            .collect()
     }
 
     /// Append freshly evaluated points to their shards. One buffered
@@ -294,9 +235,7 @@ impl EvalCache {
     /// descriptor is *not* atomic (the kernel may split it, letting
     /// another writer's rows land mid-line), and without the lock two
     /// writers can both observe an empty shard and both write the
-    /// header. Both races corrupt rows that then read back as misses —
-    /// silently wrong for the multi-process sweep backend, whose
-    /// workers hand results to the coordinator *through* this store.
+    /// header. Both races corrupt rows that then read back as misses.
     pub fn append(&self, points: &[EvaluatedPoint]) -> io::Result<()> {
         if points.is_empty() {
             return Ok(());
@@ -331,8 +270,7 @@ impl EvalCache {
             // backoff. The injection point sits *before* the first
             // write, so a retried attempt never duplicates rows — and
             // even a mid-write retry would only produce a duplicate
-            // key, which readers resolve (later wins) and `dse fsck`
-            // repairs.
+            // key, which readers resolve (later wins).
             let (result, retries) = ng_fault::with_retries("append:io", || {
                 Self::append_shard(&path, body, shard_rows.len() as u64)
             });
@@ -354,8 +292,7 @@ impl EvalCache {
                 // shard. Divert this shard's rows to the in-memory
                 // overlay and keep going: the sweep completes and
                 // delivers results, at the cost of re-evaluating these
-                // rows next run — strictly better than dying with
-                // `EXIT_STORE_APPEND` and delivering nothing.
+                // rows next run.
                 Err(e) if ng_fault::is_exhaustion(&e) => self.degrade_append(&dir, shard_rows, &e),
                 Err(e) => return Err(e),
             }
@@ -402,26 +339,12 @@ impl EvalCache {
         // flaky network filesystem) is a real error — proceeding
         // unlocked would silently void the multi-writer contract.
         let lock_started = std::time::Instant::now();
-        let file = loop {
-            let file = fs::OpenOptions::new().read(true).create(true).append(true).open(path)?;
-            if let Err(e) = file.lock() {
-                if e.kind() != io::ErrorKind::Unsupported {
-                    return Err(e);
-                }
+        let mut file = fs::OpenOptions::new().read(true).create(true).append(true).open(path)?;
+        if let Err(e) = file.lock() {
+            if e.kind() != io::ErrorKind::Unsupported {
+                return Err(e);
             }
-            // The compactor (and `fsck --repair`) replace shard files
-            // by tmp+rename *while holding the old inode's lock* — so
-            // a writer that blocked on that lock may now hold an
-            // unlinked file whose rows no reader would ever see.
-            // Re-stat the path after locking and start over on the
-            // live inode; the rename has already happened, so this
-            // converges in one extra round.
-            if !Self::same_inode(&file, path) {
-                continue;
-            }
-            break file;
-        };
-        let mut file = file;
+        }
         obs_counters::store_lock_wait_us().add(lock_started.elapsed().as_micros() as u64);
         // The length must be read *after* the lock: another writer
         // may have created the header between open and lock.
@@ -452,7 +375,7 @@ impl EvalCache {
             // body with its final row cut in half and report success —
             // the caller believes the rows landed, exactly as a real
             // crash victim would have. Readers skip the torn row, and
-            // recovery (re-evaluation or `fsck --repair`) heals it.
+            // the next run re-evaluates and re-appends it.
             let data = body.strip_suffix('\n').unwrap_or(body);
             let last_start = data.rfind('\n').map_or(0, |i| i + 1);
             let torn_end = last_start + (data.len() - last_start) / 2;
@@ -465,77 +388,18 @@ impl EvalCache {
         Ok(())
     }
 
-    /// Does the open descriptor still name the file at `path`? False
-    /// when a tmp+rename replaced the path while we waited on the old
-    /// inode's lock. On platforms without inode identity this reports
-    /// true — matching the pre-compaction behaviour there.
-    #[cfg(unix)]
-    fn same_inode(file: &fs::File, path: &Path) -> bool {
-        use std::os::unix::fs::MetadataExt;
-        match (file.metadata(), fs::metadata(path)) {
-            (Ok(held), Ok(live)) => held.ino() == live.ino() && held.dev() == live.dev(),
-            _ => false,
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn same_inode(_file: &fs::File, _path: &Path) -> bool {
-        true
-    }
-
-    /// Load every live CSV shard once, returning each shard's parsed
-    /// map alongside its on-disk size. The one pass behind *both*
-    /// [`EvalCache::shard_stats`] and [`EvalCache::load_all`] — the
-    /// stats/bulk-load paths used to call `load_shard` separately per
-    /// consumer and re-parse every shard from disk each time.
-    fn live_shards(&self) -> Vec<(HashMap<u64, EvaluatedPoint>, u64)> {
+    /// Per-shard row counts: `(rows, bytes)` indexed by shard,
+    /// counting only parseable data rows (comments, headers and torn
+    /// lines excluded — the same rows [`EvalCache::lookup`] could
+    /// serve). Powers the per-shard half of `dse --cache-stats`.
+    pub fn shard_stats(&self) -> Vec<(usize, u64)> {
         (0..SHARD_COUNT)
             .map(|shard| {
                 let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
                 let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                (self.load_shard(shard), bytes)
+                (self.load_shard(shard).len(), bytes)
             })
             .collect()
-    }
-
-    /// Per-shard row counts of the live CSV tail: `(rows, bytes)`
-    /// indexed by shard, counting only parseable data rows (comments,
-    /// headers and torn lines excluded — the same rows
-    /// [`EvalCache::lookup`] could serve). Powers the per-shard half of
-    /// `dse --cache-stats`.
-    pub fn shard_stats(&self) -> Vec<(usize, u64)> {
-        self.live_shards().into_iter().map(|(rows, bytes)| (rows.len(), bytes)).collect()
-    }
-
-    /// Both read layers in one pass: per-shard tail stats plus the
-    /// compact base's generation number, row count and file size.
-    pub fn store_stats(&self) -> StoreStats {
-        StoreStats {
-            shards: self.shard_stats(),
-            base: crate::compact::load_latest(&self.store_dir())
-                .map(|base| (base.seq(), base.rows(), base.bytes())),
-        }
-    }
-
-    /// A cheap upper bound on live CSV tail rows — data-line counts
-    /// without parsing — used by the opt-in auto-compaction trigger.
-    /// Torn or corrupt lines are counted too: they are exactly the
-    /// bloat compaction exists to shed.
-    pub fn tail_row_estimate(&self) -> usize {
-        (0..SHARD_COUNT)
-            .map(|shard| {
-                let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
-                let Ok(text) = fs::read_to_string(&path) else {
-                    return 0;
-                };
-                text.lines()
-                    .filter(|l| {
-                        let l = l.trim();
-                        !l.is_empty() && !l.starts_with('#') && !l.starts_with("key,")
-                    })
-                    .count()
-            })
-            .sum()
     }
 
     /// The cache's root directory (generations live underneath).
@@ -543,19 +407,14 @@ impl EvalCache {
         &self.dir
     }
 
-    /// Load both layers of the current generation into one in-memory
-    /// map (CSV tail over compact base) — the bulk entry point for
-    /// guided search, which probes points one at a time and must not
-    /// re-read shard files per probe the way per-sweep
-    /// [`EvalCache::lookup`] may.
+    /// Load every shard of the current generation into one in-memory
+    /// map — the bulk entry point for guided search, which probes
+    /// points one at a time and must not re-read shard files per probe
+    /// the way per-sweep [`EvalCache::lookup`] may.
     pub fn load_all(&self) -> HashMap<u64, EvaluatedPoint> {
-        let mut out: HashMap<u64, EvaluatedPoint> =
-            match crate::compact::load_latest(&self.store_dir()) {
-                Some(base) => base.iter().collect(),
-                None => HashMap::new(),
-            };
-        for (shard, _) in self.live_shards() {
-            out.extend(shard);
+        let mut out = HashMap::new();
+        for shard in 0..SHARD_COUNT {
+            out.extend(self.load_shard(shard));
         }
         // Rows diverted by storage exhaustion are real results too —
         // guided search must see them like any persisted row.
@@ -721,8 +580,7 @@ mod tests {
     #[test]
     fn concurrent_thread_appends_lose_no_rows() {
         // Many writers, one store: every appended row must read back
-        // intact (the locked-append contract, exercised in-process;
-        // the cross-process version lives in tests/distrib.rs).
+        // intact (the locked-append contract, exercised in-process).
         let dir = tmpdir("concurrent");
         let spec = SweepSpec::mac_arrays();
         let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();

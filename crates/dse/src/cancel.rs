@@ -1,10 +1,8 @@
 //! Graceful shutdown: a signal watcher and a global cancellation token.
 //!
 //! The first `SIGINT`/`SIGTERM` sets the process-wide cancellation
-//! token — the evaluation pool stops dispatching new points, the
-//! searcher stops its rounds, the coordinator forwards the drain to its
-//! workers, the compactor aborts before publishing — and every layer
-//! flushes what it already computed to the point store before exiting
+//! token — the evaluation pool stops dispatching new points and the
+//! searcher stops its rounds — and every layer flushes what it already computed to the point store before exiting
 //! with [`EXIT_INTERRUPTED`]. A second signal skips the drain and
 //! hard-exits immediately with [`EXIT_KILLED`]: the store's appends are
 //! crash-safe (locked, tail-healed), so even the hard exit loses at
@@ -19,14 +17,29 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Once;
 
-pub use crate::distrib::{EXIT_INTERRUPTED, EXIT_KILLED};
+/// Exit code for usage/spec mistakes — retrying the same invocation
+/// cannot help.
+pub const EXIT_USAGE: i32 = 2;
+
+/// Exit code when `dse trace --check` or `--check-map-agreement` found
+/// defects: the check itself ran fine, the artifact failed it.
+/// Distinct from [`EXIT_USAGE`] so CI can tell "bad invocation" from
+/// "bad result".
+pub const EXIT_CHECK_FAILED: i32 = 4;
+
+/// Exit code after a graceful drain: SIGINT/SIGTERM was caught, every
+/// in-flight point finished and flushed, and `dse resume` can finish
+/// the job. 128 + SIGINT's signal number, the shell convention.
+pub const EXIT_INTERRUPTED: i32 = 130;
+
+/// Exit code when a *second* signal arrived before the drain finished
+/// and the process hard-exited from the handler. The store stays
+/// consistent (appends are atomic per row under the shard lock; a torn
+/// tail heals on the next append), but un-flushed points are lost.
+pub const EXIT_KILLED: i32 = 131;
 
 /// How many SIGINT/SIGTERMs this process has received.
 static SIGNALS_SEEN: AtomicU32 = AtomicU32::new(0);
-
-/// Cancellations requested programmatically (drain-flag forwarding,
-/// tests) — folded into [`cancelled`] alongside the signal count.
-static REQUESTED: AtomicU32 = AtomicU32::new(0);
 
 #[cfg(unix)]
 mod sys {
@@ -68,39 +81,10 @@ pub fn install_signal_watcher() {
     });
 }
 
-/// Whether a drain has been requested — by a signal or by
-/// [`request_cancel`]. Checked between points/rounds on every hot
-/// loop; a relaxed load, free when nothing happened.
+/// Whether a signal has requested a drain. Checked between
+/// points/rounds on every hot loop; a relaxed load, free when nothing
+/// happened.
 #[inline]
 pub fn cancelled() -> bool {
-    SIGNALS_SEEN.load(Ordering::Relaxed) > 0 || REQUESTED.load(Ordering::Relaxed) > 0
-}
-
-/// Request a drain programmatically — how a worker that sees the
-/// coordinator's drain flag joins the shutdown without a signal of its
-/// own.
-pub fn request_cancel() {
-    REQUESTED.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Clear programmatic cancellation requests (test isolation only —
-/// signal counts are deliberately not resettable).
-#[doc(hidden)]
-pub fn reset_requested_for_tests() {
-    REQUESTED.store(0, Ordering::SeqCst);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_cancel_sets_and_resets() {
-        reset_requested_for_tests();
-        assert!(!cancelled());
-        request_cancel();
-        assert!(cancelled());
-        reset_requested_for_tests();
-        assert!(!cancelled());
-    }
+    SIGNALS_SEEN.load(Ordering::Relaxed) > 0
 }

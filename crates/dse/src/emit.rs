@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn mapping_columns_extend_but_never_perturb_the_plain_formats() {
         let outcome = outcome();
-        let annotations = crate::mapsearch::annotate(&outcome.points, None);
+        let annotations = crate::mapsearch::annotate(&outcome.points);
         let plain = points_to_csv(&outcome.points);
         let mapped = points_to_csv_with_mapping(&outcome.points, &annotations);
         assert!(mapped.starts_with(&format!("{CSV_HEADER},{MAP_CSV_COLUMNS}\n")));

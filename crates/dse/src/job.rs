@@ -1,14 +1,13 @@
 //! Durable job manifests: the crash-safe record `dse resume` reads.
 //!
-//! Every cache-enabled sweep/search/distributed run writes a
+//! Every cache-enabled sweep or search run writes a
 //! `job-*.json` manifest into `<cache_dir>/jobs/` before evaluating
 //! (tmp + rename, the store's publish discipline) and rewrites it when
 //! the run ends — `done` on success, `interrupted` after a graceful
 //! drain. The manifest carries everything a resume needs to re-enter
-//! the *exact* run: the resolved spec as TOML (the same byte-exact
-//! round-trip the distributed backend ships to workers), the model
-//! fingerprint the results were computed under, the run mode and its
-//! flags (threads/workers, output paths, constraints, search
+//! the *exact* run: the resolved spec as TOML (a byte-exact
+//! round-trip), the model fingerprint the results were computed under,
+//! the run mode and its flags (threads, output paths, constraints, search
 //! strategy/budget/seed), and a progress snapshot.
 //!
 //! Resume needs no partial-result file of its own: the point store
@@ -37,8 +36,6 @@ pub enum JobMode {
     Sweep,
     /// Guided search (`--search`).
     Search,
-    /// Multi-process sweep (`--workers N`).
-    Distrib,
 }
 
 impl JobMode {
@@ -47,7 +44,6 @@ impl JobMode {
         match self {
             JobMode::Sweep => "sweep",
             JobMode::Search => "search",
-            JobMode::Distrib => "distrib",
         }
     }
 
@@ -56,7 +52,6 @@ impl JobMode {
         match s {
             "sweep" => Some(JobMode::Sweep),
             "search" => Some(JobMode::Search),
-            "distrib" => Some(JobMode::Distrib),
             _ => None,
         }
     }
@@ -128,8 +123,6 @@ pub struct JobManifest {
     pub delivered: usize,
     /// `--threads`, when given explicitly.
     pub threads: Option<usize>,
-    /// `--workers`, for [`JobMode::Distrib`].
-    pub workers: Option<usize>,
     /// `--csv` output path.
     pub csv: Option<String>,
     /// `--json` output path.
@@ -148,7 +141,7 @@ pub struct JobManifest {
     /// `--min-speedup` constraint.
     pub min_speedup: Option<f64>,
     /// `--map-search`: annotate points with searched mappings on
-    /// resume too (the memo store makes the replay warm).
+    /// resume too.
     pub map_search: bool,
 }
 
@@ -180,7 +173,6 @@ impl JobManifest {
             total_points,
             delivered: 0,
             threads: None,
-            workers: None,
             csv: None,
             json_out: None,
             search_strategy: None,
@@ -214,6 +206,7 @@ impl JobManifest {
     /// sees the old complete manifest or the new complete one, never a
     /// torn hybrid.
     pub fn save(&self) -> io::Result<PathBuf> {
+        let _span = ng_obs::span("job");
         let dir = jobs_dir(Path::new(&self.cache_dir));
         std::fs::create_dir_all(&dir)?;
         let final_path = dir.join(format!("{}.json", self.id));
@@ -240,9 +233,6 @@ impl JobManifest {
         ];
         if let Some(v) = self.threads {
             fields.push(format!("\"threads\":{v}"));
-        }
-        if let Some(v) = self.workers {
-            fields.push(format!("\"workers\":{v}"));
         }
         if let Some(v) = &self.csv {
             fields.push(format!("\"csv\":{}", crate::emit::json_str(v)));
@@ -321,7 +311,6 @@ impl JobManifest {
             total_points: required_num("total_points")? as usize,
             delivered: required_num("delivered")? as usize,
             threads: int_field("threads").map(|n| n as usize),
-            workers: int_field("workers").map(|n| n as usize),
             csv: str_field("csv").map(str::to_string),
             json_out: str_field("json_out").map(str::to_string),
             search_strategy: str_field("search_strategy").map(str::to_string),
@@ -494,7 +483,7 @@ mod tests {
             // Constructed directly rather than via `new()` so the test
             // does not pay the model-fingerprint probe sweep.
             id: "job-1700000000000000-42".to_string(),
-            mode: JobMode::Distrib,
+            mode: JobMode::Search,
             status: JobStatus::Interrupted,
             created_us: 1_700_000_000_000_000,
             model_version: crate::MODEL_VERSION.to_string(),
@@ -507,7 +496,6 @@ mod tests {
             total_points: spec.point_count(),
             delivered: 7,
             threads: Some(4),
-            workers: Some(2),
             csv: Some("out dir/points.csv".to_string()),
             json_out: None,
             search_strategy: None,

@@ -38,7 +38,7 @@ hoisted!(
 );
 hoisted!(
     /// Per-point tick from inside the evaluation pool — the live
-    /// counter progress meters and worker heartbeats sample.
+    /// counter the progress meter samples.
     eval_ticks => "eval.ticks"
 );
 hoisted!(
@@ -81,23 +81,6 @@ hoisted!(
     jobs_resumed => "jobs.resumed"
 );
 hoisted!(
-    /// Store compactions completed (a binary generation was written).
-    store_compact_runs => "store.compact_runs"
-);
-hoisted!(
-    /// Rows folded into binary generations by the compactor.
-    store_compact_rows => "store.compact_rows"
-);
-hoisted!(
-    /// Lookup hits served from the compact binary base.
-    store_base_hits => "store.base_hits"
-);
-hoisted!(
-    /// Lookup hits served from the live CSV tail (which shadows the
-    /// base on overlap).
-    store_tail_hits => "store.tail_hits"
-);
-hoisted!(
     /// Points accepted into a streaming Pareto frontier.
     frontier_inserts => "frontier.inserts"
 );
@@ -127,48 +110,13 @@ hoisted!(
 );
 hoisted!(
     /// Per-layer mapping searches actually run by `--map-search`
-    /// (memo misses; each one enumerates the full mapspace).
+    /// (in-run memo misses; each one enumerates the full mapspace).
     mapsearch_evals => "mapsearch.evals"
 );
 hoisted!(
-    /// Per-layer mapping lookups served without a search — from the
-    /// on-disk memo store or the in-run memo. Invariant:
+    /// Per-layer mapping lookups served from the in-run memo without
+    /// a search. Invariant:
     /// `mapsearch.evals + mapsearch.memo_hits` equals the number of
     /// `(point, layer)` lookups `--map-search` performed.
     mapsearch_memo_hits => "mapsearch.memo_hits"
-);
-hoisted!(
-    /// Rows appended to the mapping-memo store.
-    mapmemo_rows_appended => "mapmemo.rows_appended"
-);
-hoisted!(
-    /// Torn or corrupt rows skipped while loading the mapping memo —
-    /// each one is a search that will silently re-run.
-    mapmemo_rows_skipped => "mapmemo.rows_skipped"
-);
-hoisted!(
-    /// Worker child processes the coordinator spawned.
-    distrib_workers_spawned => "distrib.workers_spawned"
-);
-hoisted!(
-    /// Worker heartbeat events the coordinator observed.
-    distrib_heartbeats_seen => "distrib.heartbeats_seen"
-);
-hoisted!(
-    /// Points the coordinator re-evaluated because a worker's slice
-    /// came back incomplete.
-    distrib_recovered_points => "distrib.recovered_points"
-);
-hoisted!(
-    /// Slice leases the coordinator revoked (stalled heartbeat or
-    /// frozen progress past the stall window).
-    distrib_leases_expired => "distrib.leases_expired"
-);
-hoisted!(
-    /// Stalled worker processes the coordinator killed.
-    distrib_workers_killed => "distrib.workers_killed"
-);
-hoisted!(
-    /// Replacement workers spawned to take over a revoked lease.
-    distrib_leases_reassigned => "distrib.leases_reassigned"
 );

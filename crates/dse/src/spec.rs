@@ -516,10 +516,9 @@ impl SweepSpec {
 
     /// Render this spec in the TOML subset [`SweepSpec::from_toml_str`]
     /// parses, round-tripping every axis exactly (floats via
-    /// shortest-round-trip display). This is how the distributed
-    /// coordinator ships its *resolved* spec — preset plus any CLI axis
-    /// overrides — to worker processes, so a worker's enumeration is
-    /// guaranteed to be the coordinator's.
+    /// shortest-round-trip display). This is how a job manifest records
+    /// its *resolved* spec — preset plus any CLI axis overrides — so
+    /// `dse resume` re-enumerates exactly the interrupted run's points.
     pub fn to_toml(&self) -> String {
         let nums = |it: &mut dyn Iterator<Item = String>| -> String {
             format!("[{}]", it.collect::<Vec<_>>().join(", "))
@@ -880,8 +879,8 @@ mod tests {
 
     #[test]
     fn to_toml_round_trips_every_preset_exactly() {
-        // The distributed coordinator ships its resolved spec through
-        // this encoding; a worker must re-enumerate the exact points.
+        // Job manifests record the resolved spec through this encoding;
+        // a resume must re-enumerate the exact points.
         for name in SweepSpec::PRESETS {
             let spec = SweepSpec::preset(name).unwrap();
             let parsed = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();

@@ -241,8 +241,6 @@ impl SweepOutcome {
 
 /// Evaluate design points on the work-stealing pool: one result per
 /// point, in input order, bit-identical regardless of thread count.
-/// Shared by [`SweepEngine::run_owned`] and the distributed backend's
-/// worker slices ([`crate::distrib`]).
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
     let (slots, interrupted) = evaluate_points_partial(points, threads, || false);
     debug_assert!(!interrupted, "cancellation disabled");
@@ -265,12 +263,9 @@ pub fn evaluate_points_partial(
         threads,
         EmulationContext::new,
         |ctx, p: &DesignPoint| {
-            // Fault-plan hook: in a marked worker process whose plan
-            // names this tick, the process dies or hangs *here* —
-            // before the point completes — so the slice is genuinely
-            // unfinished and the coordinator's lease recovery has real
-            // work to do. (`signal:term` raises SIGTERM here instead,
-            // driving the graceful-drain path this function feeds.)
+            // Fault-plan hook: a `signal:term` plan naming this tick
+            // raises SIGTERM here — before the point completes —
+            // driving the graceful-drain path this function feeds.
             ng_fault::on_eval_tick();
             let r = ctx.eval(&p.emulator_input());
             ticks.incr();
@@ -333,7 +328,6 @@ pub struct SweepEngine {
     threads: usize,
     cache_dir: Option<PathBuf>,
     quiet: bool,
-    auto_compact: Option<usize>,
 }
 
 impl Default for SweepEngine {
@@ -352,7 +346,6 @@ impl SweepEngine {
             threads: pool::available_threads(),
             cache_dir: Some(PathBuf::from(Self::DEFAULT_CACHE_DIR)),
             quiet: false,
-            auto_compact: None,
         }
     }
 
@@ -379,16 +372,6 @@ impl SweepEngine {
     /// Disable the evaluation cache.
     pub fn without_cache(mut self) -> Self {
         self.cache_dir = None;
-        self
-    }
-
-    /// Opt in to automatic store compaction (`dse --auto-compact N`):
-    /// after a run's append, if the live CSV tail holds at least
-    /// `threshold` rows, fold it into a binary generation. Off by
-    /// default — compaction is cheap but not free, and short-lived
-    /// stores never amortise it.
-    pub fn with_auto_compact(mut self, threshold: Option<usize>) -> Self {
-        self.auto_compact = threshold;
         self
     }
 
@@ -497,17 +480,6 @@ impl SweepEngine {
                 freshly_completed: evaluated.len(),
                 cache_path,
             }));
-        }
-
-        // Opt-in auto-compaction: fold a grown CSV tail into a binary
-        // generation once it crosses the threshold. Failure downgrades
-        // like a cache write failure — the WAL stays authoritative.
-        if let (Some(threshold), Some(cache)) = (self.auto_compact, &cache) {
-            if cache.tail_row_estimate() >= threshold {
-                if let Err(e) = crate::compact::compact(cache) {
-                    eprintln!("dse: auto-compaction failed (store still serves): {e}");
-                }
-            }
         }
 
         // Merge in place: cached points keep their slot, fresh

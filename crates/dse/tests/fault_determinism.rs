@@ -1,7 +1,7 @@
 //! Deterministic fault replay (ISSUE 9): the same fault seed must
 //! reproduce the same run, down to the retry counter and the exact
-//! backoff sites recorded in the ledger — otherwise `dse chaos
-//! --seed N` could not replay a failure.
+//! backoff sites recorded in the ledger — otherwise a seeded fault
+//! plan could not replay a failure.
 
 use std::fs;
 use std::path::PathBuf;

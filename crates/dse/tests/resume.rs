@@ -53,7 +53,7 @@ fn sigterm_leaves_a_manifest_and_resume_completes_byte_identical() {
     );
     assert_eq!(
         code,
-        Some(ng_dse::distrib::EXIT_INTERRUPTED),
+        Some(ng_dse::cancel::EXIT_INTERRUPTED),
         "interrupted run must exit 130:\nstdout: {out}\nstderr: {err}"
     );
     assert!(err.contains("drain"), "the drain must be announced on stderr:\n{err}");
@@ -80,10 +80,10 @@ fn sigterm_leaves_a_manifest_and_resume_completes_byte_identical() {
     let job_path = manifest.path();
     let (_, err, code) =
         dse(&["resume", &job_path.display().to_string(), "--cache-dir", &store], &[]);
-    assert_eq!(code, Some(ng_dse::distrib::EXIT_USAGE), "a Done job must be refused:\n{err}");
+    assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE), "a Done job must be refused:\n{err}");
     assert!(err.contains("completion"), "{err}");
     let (_, err, code) = dse(&["resume", "--cache-dir", &store], &[]);
-    assert_eq!(code, Some(ng_dse::distrib::EXIT_USAGE));
+    assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE));
     assert!(err.contains("no resumable job"), "{err}");
 
     fs::remove_dir_all(&dir).unwrap();
@@ -93,7 +93,7 @@ fn sigterm_leaves_a_manifest_and_resume_completes_byte_identical() {
 fn resume_on_an_empty_store_is_a_usage_error() {
     let dir = tmpdir("empty");
     let (_, err, code) = dse(&["resume", "--cache-dir", &dir.display().to_string()], &[]);
-    assert_eq!(code, Some(ng_dse::distrib::EXIT_USAGE));
+    assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE));
     assert!(err.contains("no resumable job"), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -96,6 +96,35 @@ fn trace_subcommand_exports_chrome_json() {
     let _ = std::fs::remove_file(&chrome_path);
 }
 
+/// Spans match the stages they name: the CSV emit is its own `emit`
+/// stage directly under the root, not hidden inside `report`.
+#[test]
+fn csv_emit_is_its_own_stage_outside_report() {
+    let ledger_path = temp_path("emit.jsonl");
+    let csv_path = temp_path("emit.csv");
+    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_s = ledger_path.display().to_string();
+    let csv_s = csv_path.display().to_string();
+
+    let (out, err, ok) = dse(
+        &["--preset", "quick", "--no-cache", "--quiet", "--trace", &ledger_s, "--csv", &csv_s],
+        &[],
+    );
+    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let paths: Vec<&str> = ledger.of_kind("sb").filter_map(|e| e.str_field("path")).collect();
+    assert!(paths.contains(&"dse/report"), "no report span: {paths:?}");
+    assert!(paths.contains(&"dse/emit"), "no emit span under the root: {paths:?}");
+    assert!(
+        !paths.iter().any(|p| p.starts_with("dse/report/")),
+        "nothing may nest inside report: {paths:?}"
+    );
+
+    let _ = std::fs::remove_file(&ledger_path);
+    let _ = std::fs::remove_file(&csv_path);
+}
+
 /// The progress meter draws only to stderr: stdout from a run with the
 /// meter forced on must be byte-identical to a `--quiet` run, except
 /// for the wall-clock throughput line, which legitimately varies.

@@ -1,13 +1,12 @@
 //! # ng-fault — deterministic fault injection for the DSE pipeline
 //!
-//! The distributed sweep backend promises that crashed workers, torn
-//! shard tails and flaky filesystems never change a sweep's output.
+//! The point store promises that torn shard tails, flaky or full
+//! filesystems and an interrupted run never change a sweep's output.
 //! This crate makes that promise *testable*: a seeded [`FaultPlan`]
 //! (parsed from the [`FAULTS_ENV`] environment variable or
 //! `dse --faults`) arms injection sites threaded through the point
-//! store, the obs ledger sink, the calibration store and the worker
-//! evaluation loop — and the CI chaos matrix asserts that a faulted
-//! run's CSV is byte-identical to the fault-free one.
+//! store, the obs ledger sink and the evaluation loop — and CI asserts
+//! that a faulted run's CSV is byte-identical to the fault-free one.
 //!
 //! ## Plan syntax
 //!
@@ -17,30 +16,17 @@
 //! |-----------------------------|--------|
 //! | `seed=N`                    | seed for every probabilistic decision (default 0) |
 //! | `append:io@p=P[,n=N]`       | point-store shard appends fail with probability `P` (at most `N` injections) |
-//! | `ledger:io@p=P[,n=N]`       | JSONL ledger/heartbeat appends fail with probability `P` |
+//! | `ledger:io@p=P[,n=N]`       | JSONL ledger appends fail with probability `P` |
 //! | `shard:torn-tail[@n=N]`     | the first `N` (default 1) store appends write a torn final row and report success |
-//! | `mapmemo:torn-tail[@n=N]`   | the first `N` (default 1) mapping-memo appends write a torn final row and report success |
-//! | `calib:partial-write[@n=N]` | the first `N` (default 1) calibration saves persist a truncated table |
-//! | `worker:kill@point=N`       | a worker process aborts (SIGABRT) while evaluating its `N`-th point |
-//! | `worker:hang@point=N`       | a worker process hangs forever at its `N`-th point |
-//! | `heartbeat:delay=D`         | every worker heartbeat is delayed by `D` (`5s`, `300ms`, ...) |
-//! | `compact:crash@stage=N`     | the store compactor dies at protocol stage `N` (1 = generation written but unverified, 2 = generation live but CSV not yet truncated, 3 = mid-truncation) |
 //! | `append:enospc[@n=N]`       | point-store shard appends fail with a storage-exhaustion error (ENOSPC-shaped, never retried; at most `N` injections, default unlimited) |
 //! | `signal:term@point=N`       | the process raises SIGTERM against itself at its `N`-th evaluation tick — the drain path a real Ctrl-C / `kill` exercises |
-//!
-//! `worker:*` and `heartbeat:*` faults fire only in processes that
-//! called [`mark_worker`] (the `dse --worker-shard` entry point), so a
-//! coordinator recovering a dead worker's slice locally — the last
-//! resort the chaos matrix drives runs into — is never re-killed by
-//! the same plan it passed to its children.
 //!
 //! ## Determinism
 //!
 //! Every probabilistic decision hashes `(seed, site, per-site
 //! invocation count)` through SplitMix64 — no wall clock, no OS
 //! randomness — so a plan replays identically given the same execution
-//! order, and two workers with identical slices make identical
-//! decisions. Backoff jitter ([`backoff_delay`]) is derived the same
+//! order. Backoff jitter ([`backoff_delay`]) is derived the same
 //! way.
 //!
 //! The crate is dependency-free and every check is a relaxed atomic
@@ -65,7 +51,7 @@ pub enum Fault {
         /// Injection cap.
         times: Option<u64>,
     },
-    /// JSONL ledger/heartbeat appends fail with probability `p`.
+    /// JSONL ledger appends fail with probability `p`.
     LedgerIo {
         /// Per-append failure probability.
         p: f64,
@@ -79,40 +65,6 @@ pub enum Fault {
         /// How many appends to tear.
         times: u64,
     },
-    /// The first `times` mapping-memo appends write a torn final row
-    /// and report success — the same mid-`write_all` death as
-    /// `shard:torn-tail`, aimed at the `--map-search` memo store.
-    MapMemoTornTail {
-        /// How many appends to tear.
-        times: u64,
-    },
-    /// The first `times` calibration saves persist a truncated table.
-    CalibPartialWrite {
-        /// How many saves to truncate.
-        times: u64,
-    },
-    /// A worker process aborts while evaluating its `point`-th point.
-    WorkerKill {
-        /// 1-based evaluation tick to die at.
-        point: u64,
-    },
-    /// A worker process hangs forever at its `point`-th point.
-    WorkerHang {
-        /// 1-based evaluation tick to hang at.
-        point: u64,
-    },
-    /// Every worker heartbeat is delayed by this much before it is
-    /// appended — silence, as the coordinator's stall detector sees it.
-    HeartbeatDelay {
-        /// The injected delay.
-        delay: Duration,
-    },
-    /// The store compactor dies at protocol stage `stage`, leaving the
-    /// exact on-disk state a SIGKILL at that point would leave.
-    CompactCrash {
-        /// 1-based compaction protocol stage to die at.
-        stage: u64,
-    },
     /// Point-store shard appends fail with a storage-exhaustion error
     /// (the ENOSPC / EROFS / quota family — persistent, never retried,
     /// the trigger for the cache's degraded in-memory overlay).
@@ -121,9 +73,7 @@ pub enum Fault {
         times: Option<u64>,
     },
     /// The process raises SIGTERM against itself at its `point`-th
-    /// evaluation tick. Unlike `worker:*` this is *not* role-gated: a
-    /// plain `dse` sweep is exactly what the graceful-drain path and
-    /// `dse resume` exist for.
+    /// evaluation tick — the drain path `dse resume` exists for.
     SignalTerm {
         /// 1-based evaluation tick to raise SIGTERM at.
         point: u64,
@@ -154,11 +104,7 @@ impl FaultPlan {
                 .ok_or_else(|| format!("faults: `{token}` is not CLASS:KIND[@k=v,...]"))?;
             let (kind, params) = match spec.split_once('@') {
                 Some((kind, params)) => (kind, parse_params(token, params)?),
-                // `heartbeat:delay=5s` carries its value in the kind.
-                None => match spec.split_once('=') {
-                    Some((kind, value)) => (kind, vec![(kind.to_string(), value.to_string())]),
-                    None => (spec, Vec::new()),
-                },
+                None => (spec, Vec::new()),
             };
             let get = |key: &str| params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
             let num = |key: &str| -> Result<Option<u64>, String> {
@@ -187,31 +133,6 @@ impl FaultPlan {
                 },
                 ("ledger", "io") => Fault::LedgerIo { p: prob()?, times: num("n")? },
                 ("shard", "torn-tail") => Fault::TornTail { times: num("n")?.unwrap_or(1) },
-                ("mapmemo", "torn-tail") => {
-                    Fault::MapMemoTornTail { times: num("n")?.unwrap_or(1) }
-                }
-                ("calib", "partial-write") => {
-                    Fault::CalibPartialWrite { times: num("n")?.unwrap_or(1) }
-                }
-                ("worker", "kill") => Fault::WorkerKill {
-                    point: num("point")?
-                        .ok_or_else(|| format!("faults: `{token}` needs point=N"))?,
-                },
-                ("worker", "hang") => Fault::WorkerHang {
-                    point: num("point")?
-                        .ok_or_else(|| format!("faults: `{token}` needs point=N"))?,
-                },
-                ("compact", "crash") => Fault::CompactCrash {
-                    stage: num("stage")?
-                        .ok_or_else(|| format!("faults: `{token}` needs stage=N"))?,
-                },
-                ("heartbeat", "delay") => Fault::HeartbeatDelay {
-                    delay: parse_duration(
-                        get("delay")
-                            .ok_or_else(|| format!("faults: `{token}` needs delay=DURATION"))?,
-                    )
-                    .ok_or_else(|| format!("faults: `{token}`: bad duration"))?,
-                },
                 _ => return Err(format!("faults: unknown fault `{token}`")),
             };
             plan.faults.push(fault);
@@ -231,19 +152,6 @@ fn parse_params(token: &str, params: &str) -> Result<Vec<(String, String)>, Stri
                 .ok_or_else(|| format!("faults: `{token}`: `{p}` is not k=v"))
         })
         .collect()
-}
-
-/// Parse `500ms`, `5s`, `1.5s` or a bare number of seconds.
-fn parse_duration(s: &str) -> Option<Duration> {
-    let (value, scale) = if let Some(ms) = s.strip_suffix("ms") {
-        (ms, 1e-3)
-    } else if let Some(secs) = s.strip_suffix('s') {
-        (secs, 1.0)
-    } else {
-        (s, 1.0)
-    };
-    let v: f64 = value.trim().parse().ok()?;
-    (v >= 0.0 && v.is_finite()).then(|| Duration::from_secs_f64(v * scale))
 }
 
 /// SplitMix64 — the deterministic hash behind every probabilistic
@@ -286,9 +194,6 @@ struct Injector {
     ledger_checks: AtomicU64,
     ledger_injected: AtomicU64,
     torn_injected: AtomicU64,
-    mapmemo_torn_injected: AtomicU64,
-    calib_injected: AtomicU64,
-    compact_injected: AtomicU64,
     enospc_injected: AtomicU64,
     signal_injected: AtomicU64,
     signals_raised: AtomicU64,
@@ -304,9 +209,6 @@ impl Injector {
             ledger_checks: AtomicU64::new(0),
             ledger_injected: AtomicU64::new(0),
             torn_injected: AtomicU64::new(0),
-            mapmemo_torn_injected: AtomicU64::new(0),
-            calib_injected: AtomicU64::new(0),
-            compact_injected: AtomicU64::new(0),
             enospc_injected: AtomicU64::new(0),
             signal_injected: AtomicU64::new(0),
             signals_raised: AtomicU64::new(0),
@@ -317,7 +219,6 @@ impl Injector {
 
 static INJECTOR: OnceLock<Injector> = OnceLock::new();
 static ARMED: AtomicBool = AtomicBool::new(false);
-static WORKER: AtomicBool = AtomicBool::new(false);
 static PAUSED: AtomicU64 = AtomicU64::new(0);
 
 /// RAII guard from [`pause_injection`]: faults resume when it drops.
@@ -334,10 +235,10 @@ impl Drop for InjectionPause {
 /// guard drops (nests). For internal bookkeeping work that must not
 /// consume the plan's budgets or tick numbering: the model-fingerprint
 /// probe sweep, for example, runs through the same evaluation pool as
-/// user work, and without this a `signal:term@point=N` or
-/// `worker:kill@point=N` would spend its death on a probe point before
-/// the actual sweep ever starts. Process-global, so it also covers the
-/// worker threads the paused section spawns.
+/// user work, and without this a `signal:term@point=N` would spend its
+/// signal on a probe point before the actual sweep ever starts.
+/// Process-global, so it also covers the pool threads the paused
+/// section spawns.
 pub fn pause_injection() -> InjectionPause {
     PAUSED.fetch_add(1, Ordering::Relaxed);
     InjectionPause(())
@@ -382,18 +283,6 @@ pub fn init_from_env() -> Result<bool, String> {
 #[inline]
 pub fn active() -> bool {
     ARMED.load(Ordering::Relaxed)
-}
-
-/// Mark this process as a sweep worker, arming the `worker:*` and
-/// `heartbeat:*` fault classes (see the module docs for why they are
-/// role-gated).
-pub fn mark_worker() {
-    WORKER.store(true, Ordering::Relaxed);
-}
-
-/// Whether this process is a marked worker.
-pub fn is_worker() -> bool {
-    WORKER.load(Ordering::Relaxed)
 }
 
 fn injector() -> Option<&'static Injector> {
@@ -495,7 +384,7 @@ pub fn store_append_exhaustion() -> Option<io::Error> {
     Some(injected_exhaustion_error("append:enospc"))
 }
 
-/// `ledger:io` — an injected error for a JSONL ledger/heartbeat append.
+/// `ledger:io` — an injected error for a JSONL ledger append.
 pub fn ledger_append_error() -> Option<io::Error> {
     let inj = injector()?;
     io_site(
@@ -538,62 +427,11 @@ pub fn take_store_torn_tail() -> bool {
     )
 }
 
-/// `mapmemo:torn-tail` — whether this mapping-memo append should write
-/// a torn final row (consumes one of the plan's `n` tears).
-pub fn take_mapmemo_torn_tail() -> bool {
-    let Some(inj) = injector() else { return false };
-    take_budgeted(
-        &inj.plan,
-        |f| match f {
-            Fault::MapMemoTornTail { times } => Some(*times),
-            _ => None,
-        },
-        &inj.mapmemo_torn_injected,
-    )
-}
-
-/// `calib:partial-write` — whether this calibration save should persist
-/// a truncated table (consumes one of the plan's `n` truncations).
-pub fn take_calib_partial_write() -> bool {
-    let Some(inj) = injector() else { return false };
-    take_budgeted(
-        &inj.plan,
-        |f| match f {
-            Fault::CalibPartialWrite { times } => Some(*times),
-            _ => None,
-        },
-        &inj.calib_injected,
-    )
-}
-
-/// `compact:crash` — the injected death of the store compactor at
-/// protocol stage `stage` (1-based, see the module table). The caller
-/// returns the error *without any cleanup*, so the on-disk state is
-/// exactly what a process SIGKILLed at that stage would leave behind —
-/// which is the state the crash-safety tests assert readers survive.
-/// Not worker-gated: compaction runs in the coordinator / CLI process.
-pub fn compact_crash_at(stage: u64) -> Option<io::Error> {
-    let inj = injector()?;
-    let named = inj
-        .plan
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::CompactCrash { stage: s } if *s == stage));
-    if !named {
-        return None;
-    }
-    inj.compact_injected.fetch_add(1, Ordering::Relaxed);
-    Some(io::Error::other(format!("ng-fault: injected compaction crash (stage {stage})")))
-}
-
-/// `worker:kill` / `worker:hang` / `signal:term` — called once per
-/// point from the evaluation pool, *before* the point is evaluated.
-/// In a marked worker process whose plan names this tick, the process
-/// aborts (the SIGKILL-shaped death the lease recovery path exists
-/// for) or hangs forever (the livelock the progress-stall detector
-/// exists for). `signal:term` fires in *any* process — it raises a
-/// real SIGTERM against the process itself, so whatever drain handler
-/// is installed sees exactly what a `kill` from outside would send.
+/// `signal:term` — called once per point from the evaluation pool,
+/// *before* the point is evaluated. When the plan names this tick it
+/// raises a real SIGTERM against the process itself, so whatever drain
+/// handler is installed sees exactly what a `kill` from outside would
+/// send.
 pub fn on_eval_tick() {
     let Some(inj) = injector() else { return };
     let tick = inj.eval_ticks.fetch_add(1, Ordering::Relaxed) + 1;
@@ -614,24 +452,11 @@ pub fn on_eval_tick() {
         std::thread::yield_now();
     }
     for f in &inj.plan.faults {
-        match f {
-            Fault::SignalTerm { point } if *point == tick => {
-                inj.signal_injected.fetch_add(1, Ordering::Relaxed);
-                eprintln!("ng-fault: raising SIGTERM at evaluation tick {tick}");
-                raise_sigterm();
-                inj.signals_raised.fetch_add(1, Ordering::Release);
-            }
-            Fault::WorkerKill { point } if is_worker() && *point == tick => {
-                eprintln!("ng-fault: worker abort at evaluation tick {tick}");
-                std::process::abort();
-            }
-            Fault::WorkerHang { point } if is_worker() && *point == tick => {
-                eprintln!("ng-fault: worker hanging at evaluation tick {tick}");
-                loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                }
-            }
-            _ => {}
+        if matches!(f, Fault::SignalTerm { point } if *point == tick) {
+            inj.signal_injected.fetch_add(1, Ordering::Relaxed);
+            eprintln!("ng-fault: raising SIGTERM at evaluation tick {tick}");
+            raise_sigterm();
+            inj.signals_raised.fetch_add(1, Ordering::Release);
         }
     }
 }
@@ -652,30 +477,15 @@ fn raise_sigterm() {
 #[cfg(not(unix))]
 fn raise_sigterm() {}
 
-/// `heartbeat:delay` — the delay to impose before each worker
-/// heartbeat append, when armed in a marked worker.
-pub fn heartbeat_delay() -> Option<Duration> {
-    let inj = injector()?;
-    if !is_worker() {
-        return None;
-    }
-    inj.plan.faults.iter().find_map(|f| match f {
-        Fault::HeartbeatDelay { delay } => Some(*delay),
-        _ => None,
-    })
-}
-
 /// How many faults of `site` (`append:io`, `ledger:io`, `torn-tail`,
-/// `calib`) this process has injected — test observability.
+/// `append:enospc`, `signal:term`) this process has injected — test
+/// observability.
 pub fn injected_count(site: &str) -> u64 {
     let Some(inj) = INJECTOR.get() else { return 0 };
     match site {
         "append:io" => inj.append_injected.load(Ordering::Relaxed),
         "ledger:io" => inj.ledger_injected.load(Ordering::Relaxed),
         "torn-tail" => inj.torn_injected.load(Ordering::Relaxed),
-        "mapmemo:torn-tail" => inj.mapmemo_torn_injected.load(Ordering::Relaxed),
-        "calib" => inj.calib_injected.load(Ordering::Relaxed),
-        "compact" => inj.compact_injected.load(Ordering::Relaxed),
         "append:enospc" => inj.enospc_injected.load(Ordering::Relaxed),
         "signal:term" => inj.signal_injected.load(Ordering::Relaxed),
         _ => 0,
@@ -733,8 +543,6 @@ mod tests {
     fn parses_every_documented_fault() {
         let plan = FaultPlan::parse(
             "seed=7;append:io@p=0.01,n=3;ledger:io@p=0.5;shard:torn-tail;\
-             mapmemo:torn-tail@n=2;calib:partial-write@n=2;worker:kill@point=500;\
-             worker:hang@point=3;heartbeat:delay=5s;compact:crash@stage=2;\
              append:enospc@n=4;signal:term@point=6",
         )
         .unwrap();
@@ -745,12 +553,6 @@ mod tests {
                 Fault::AppendIo { p: 0.01, times: Some(3) },
                 Fault::LedgerIo { p: 0.5, times: None },
                 Fault::TornTail { times: 1 },
-                Fault::MapMemoTornTail { times: 2 },
-                Fault::CalibPartialWrite { times: 2 },
-                Fault::WorkerKill { point: 500 },
-                Fault::WorkerHang { point: 3 },
-                Fault::HeartbeatDelay { delay: Duration::from_secs(5) },
-                Fault::CompactCrash { stage: 2 },
                 Fault::AppendEnospc { times: Some(4) },
                 Fault::SignalTerm { point: 6 },
             ]
@@ -763,29 +565,22 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_separators_and_ms_durations_parse() {
-        let plan = FaultPlan::parse("heartbeat:delay=300ms worker:kill@point=2").unwrap();
-        assert_eq!(
-            plan.faults,
-            vec![
-                Fault::HeartbeatDelay { delay: Duration::from_millis(300) },
-                Fault::WorkerKill { point: 2 },
-            ]
-        );
+    fn whitespace_separators_parse() {
+        let plan = FaultPlan::parse("shard:torn-tail@n=2 signal:term@point=2").unwrap();
+        assert_eq!(plan.faults, vec![Fault::TornTail { times: 2 }, Fault::SignalTerm { point: 2 }]);
     }
 
     #[test]
     fn bad_plans_are_loud() {
         for bad in [
             "explode",
-            "append:io",            // missing p
-            "append:io@p=2",        // p out of range
-            "worker:kill",          // missing point
-            "compact:crash",        // missing stage
-            "signal:term",          // missing point
-            "heartbeat:delay=fast", // bad duration
+            "append:io",     // missing p
+            "append:io@p=2", // p out of range
+            "signal:term",   // missing point
             "seed=x",
             "whatever:io@p=0.1",
+            "worker:kill@point=2", // not a fault kind
+            "compact:crash@stage=2",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must not parse");
         }

@@ -2,9 +2,8 @@
 //!
 //! One file, one JSON object per line, appended under an exclusive
 //! advisory file lock — the exact discipline the point store uses, for
-//! the exact reason: any number of threads *and processes* (a
-//! coordinator plus its spawned workers all pointed at the same
-//! `NG_DSE_TRACE` path) may interleave events without ever tearing a
+//! the exact reason: any number of threads *and processes* (several
+//! runs pointed at the same `NG_DSE_TRACE` path) may interleave events without ever tearing a
 //! line, and a crashed writer leaves at worst one torn final line,
 //! which [`crate::ledger`] skips.
 //!
@@ -21,8 +20,6 @@
 //! | `sb`   | span begin     | `ts`, `pid`, `tid`, `path` |
 //! | `se`   | span end       | `ts`, `pid`, `tid`, `path`, `dur` (µs) |
 //! | `ctr`  | counter value  | `ts`, `pid`, `name`, `val` (cumulative) |
-//! | `hb`   | worker progress| `ts`, `pid`, `worker`, `of`, `done`, `total`, `state` |
-//! | `lease`| slice lease change | `ts`, `pid`, `worker`, `act` (`grant`/`expire`/`kill`/`reassign`/`local`), `why` |
 //!
 //! `ts` is wall-clock microseconds since the epoch ([`crate::epoch_us`])
 //! so multi-process events share one axis; `dur` is measured
@@ -48,7 +45,7 @@ pub fn is_recording() -> bool {
 }
 
 /// Start recording events to `path` (appending if it exists, so
-/// coordinator and worker processes can share one ledger). Emits a
+/// several processes can share one ledger). Emits a
 /// `meta` event marking the attach.
 pub fn enable(path: impl Into<PathBuf>) -> io::Result<()> {
     let path = path.into();
@@ -100,9 +97,6 @@ pub fn ledger_path() -> Option<PathBuf> {
 /// are retried with jittered exponential backoff; spent retries are
 /// counted as `ledger.retries`. The injection point precedes the
 /// write, so a retried attempt never duplicates a line.
-///
-/// Public because it is also the transport for worker heartbeat files,
-/// which live next to the point store rather than in the trace ledger.
 pub fn append_jsonl_line(path: &Path, line: &str) -> io::Result<()> {
     let (result, retries) = ng_fault::with_retries("ledger:io", || {
         if let Some(e) = ng_fault::ledger_append_error() {
@@ -216,57 +210,9 @@ pub fn emit_counters() {
     }
 }
 
-/// Serialise a worker progress/heartbeat event (without emitting it) —
-/// the line format shared by the trace ledger and the per-store
-/// heartbeat file the distributed backend maintains.
-pub fn heartbeat_line(worker: usize, of: usize, done: usize, total: usize, state: &str) -> String {
-    format!(
-        "{{\"ev\":\"hb\",\"ts\":{},\"pid\":{},\"worker\":{worker},\"of\":{of},\
-         \"done\":{done},\"total\":{total},\"state\":\"{}\"}}",
-        epoch_us(),
-        std::process::id(),
-        json_escape(state),
-    )
-}
-
-/// Emit a worker heartbeat into the trace ledger, if recording.
-pub fn emit_heartbeat(worker: usize, of: usize, done: usize, total: usize, state: &str) {
-    if !is_recording() {
-        return;
-    }
-    emit(&heartbeat_line(worker, of, done, total, state));
-}
-
-/// Emit a slice-lease lifecycle event (`act` is one of `grant`,
-/// `expire`, `kill`, `reassign`, `local`) — the distributed
-/// coordinator's recovery decisions, made replayable from the ledger.
-/// Readers that predate the kind simply skip it ([`crate::ledger`]
-/// parses by field, not by a closed `ev` set).
-pub fn emit_lease(worker: usize, act: &str, why: &str) {
-    if !is_recording() {
-        return;
-    }
-    emit(&format!(
-        "{{\"ev\":\"lease\",\"ts\":{},\"pid\":{},\"worker\":{worker},\"act\":\"{}\",\"why\":\"{}\"}}",
-        epoch_us(),
-        std::process::id(),
-        json_escape(act),
-        json_escape(why),
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heartbeat_line_is_one_json_object() {
-        let line = heartbeat_line(2, 5, 40, 100, "run");
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(!line.contains('\n'));
-        assert!(line.contains("\"worker\":2"));
-        assert!(line.contains("\"state\":\"run\""));
-    }
 
     #[test]
     fn append_creates_and_appends_whole_lines() {
