@@ -9,6 +9,8 @@
 //! dse --search evolve --preset guided-lanes --budget 8000 --seed 7
 //! ```
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -357,14 +359,17 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 /// Whether the paper's NGPC-64 headline configuration survived frontier
 /// extraction. Returns `None` when the headline point was not evaluated
 /// (axis overrides can sweep it away entirely), `Some(on_frontier)`
-/// otherwise.
-fn headline_check(outcome: &ng_dse::SweepOutcome, constraints: &Constraints) -> Option<bool> {
-    let is_headline = |a: &&ng_dse::ArchPoint| is_headline_arch(a);
-    if !outcome.cross_app().iter().any(|a| is_headline(&a)) {
+/// otherwise. `archs` is the sweep's cross-app fold and `frontier` its
+/// constrained Pareto frontier.
+fn headline_check(
+    archs: &[ng_dse::ArchPoint],
+    frontier: &[ng_dse::ArchPoint],
+    constraints: &Constraints,
+) -> Option<bool> {
+    if !archs.iter().any(is_headline_arch) {
         return None;
     }
-    let frontier = outcome.cross_app_frontier(constraints);
-    let headline = frontier.iter().find(is_headline);
+    let headline = frontier.iter().find(|a| is_headline_arch(a));
     match headline {
         Some(a) => println!(
             "\npaper check: NGPC-64 (hashgrid, 1 GHz, 1MB/8-bank, 64x64/16e) is on the frontier — \
@@ -697,7 +702,8 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(out) = chrome {
-        write_atomically(&out, ledger.chrome_trace())?;
+        let trace = ledger.chrome_trace();
+        write_atomically(&out, |w| w.write_all(trace.as_bytes()))?;
         println!("wrote Chrome trace to {out} (load in chrome://tracing or Perfetto)");
     }
     if check && !verdict.ok(min_coverage / 100.0) {
@@ -992,11 +998,20 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
     // The `--map-search` side table, never mutating the points —
     // everything downstream is byte-identical with the flag off.
     let annotations = cli.map_search.then(|| ng_dse::annotate(&outcome.points));
-    // Frontier extraction + table rendering is real work on large
-    // sweeps — span it so the ledger's coverage accounting sees it.
+    // The cross-app fold and the constrained frontier are computed
+    // once, each its own stage; the report, the headline check and
+    // the JSON emitter all read them.
+    let archs = {
+        let _span = ng_obs::span("cross-app");
+        outcome.cross_app()
+    };
+    let frontier = {
+        let _span = ng_obs::span("frontier");
+        ng_dse::sweep::arch_frontier(&archs, &cli.constraints)
+    };
     {
         let _span = ng_obs::span("report");
-        print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
+        print_report(&outcome, &archs, &frontier, &cli.constraints, cli.top, cli.per_app);
     }
     if let Some(a) = &annotations {
         println!("{}", a.headline());
@@ -1020,8 +1035,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
             );
         }
     }
-    // The headline and agreement checks re-derive the frontier — real
-    // work on large sweeps, so it gets its own stage.
     {
         let _span = ng_obs::span("check");
         if cli.check_map_agreement {
@@ -1039,7 +1052,7 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
         let judge_headline =
             cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
         let headline =
-            if judge_headline { headline_check(&outcome, &cli.constraints) } else { None };
+            if judge_headline { headline_check(&archs, &frontier, &cli.constraints) } else { None };
         if cli.check_headline {
             match headline {
                 Some(true) => {}
@@ -1061,36 +1074,45 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
 
     let _span = (cli.csv.is_some() || cli.json.is_some()).then(|| ng_obs::span("emit"));
     if let Some(path) = &cli.csv {
-        let csv = match &annotations {
-            Some(a) => ng_dse::emit::points_to_csv_with_mapping(&outcome.points, a),
-            None => ng_dse::emit::points_to_csv(&outcome.points),
-        };
-        write_atomically(path, csv)?;
+        write_atomically(path, |w| {
+            ng_dse::emit::write_points_csv(w, &outcome.points, annotations.as_ref())
+        })?;
         println!("wrote {} points to {path}", outcome.points.len());
     }
     if let Some(path) = &cli.json {
-        let frontier = outcome.cross_app_frontier(&cli.constraints);
-        let json = match &annotations {
-            Some(a) => ng_dse::emit::outcome_to_json_with_mapping(&outcome, &frontier, a),
-            None => ng_dse::emit::outcome_to_json(&outcome, &frontier),
-        };
-        write_atomically(path, json)?;
+        write_atomically(path, |w| {
+            ng_dse::emit::write_outcome_json(w, &outcome, &frontier, annotations.as_ref())
+        })?;
         println!("wrote outcome JSON to {path}");
     }
     Ok(())
 }
 
-/// Write `contents` to `path` so that a reader (or an interrupted run)
-/// sees the old file or the new one, never a half-written hybrid: the
-/// bytes go to a sibling temp file, which is then renamed over `path`.
-fn write_atomically(path: &str, contents: String) -> Result<(), String> {
+/// Stream `write`'s output to `path` so that a reader (or an
+/// interrupted run) sees the old file or the new one, never a
+/// half-written hybrid: the bytes go through a buffered writer to a
+/// sibling temp file, which is then renamed over `path`. Any failure
+/// removes the temp file.
+fn write_atomically(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
     let target = Path::new(path);
     let name = target.file_name().ok_or_else(|| format!("cannot write {path}: not a file name"))?;
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(name);
     tmp_name.push(format!(".tmp-{}", std::process::id()));
     let tmp = target.with_file_name(tmp_name);
-    let result = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, target));
+    let result = File::create(&tmp)
+        .and_then(|file| {
+            let mut w = BufWriter::new(file);
+            write(&mut w)?;
+            // `into_inner` flushes and reports the error a drop would
+            // swallow.
+            w.into_inner().map_err(io::IntoInnerError::into_error)?;
+            Ok(())
+        })
+        .and_then(|()| std::fs::rename(&tmp, target));
     if let Err(e) = result {
         let _ = std::fs::remove_file(&tmp);
         return Err(format!("cannot write {path}: {e}"));

@@ -50,7 +50,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once, OnceLock};
 
-use crate::emit::{point_from_row, point_to_row};
+use crate::emit::{point_from_row, write_point_row};
 use crate::obs_counters;
 use crate::spec::DesignPoint;
 use crate::sweep::EvaluatedPoint;
@@ -252,12 +252,13 @@ impl EvalCache {
             self.degrade_append(&dir, &rows, &e);
             return Ok(());
         }
-        let mut by_shard: Vec<(String, Vec<(u64, EvaluatedPoint)>)> =
-            vec![(String::new(), Vec::new()); SHARD_COUNT];
+        let mut by_shard = vec![(Vec::<u8>::new(), Vec::new()); SHARD_COUNT];
         for p in points {
             let key = Self::point_key(&p.point);
             let (buf, rows) = &mut by_shard[Self::shard_of(key)];
-            buf.push_str(&format!("{key:016x},{}\n", point_to_row(p)));
+            write!(buf, "{key:016x},")?;
+            write_point_row(buf, p)?;
+            buf.push(b'\n');
             rows.push((key, *p));
         }
         for (shard, (body, shard_rows)) in by_shard.iter().enumerate() {
@@ -324,7 +325,7 @@ impl EvalCache {
     /// shard's exclusive advisory lock. Idempotent from the caller's
     /// perspective until the body write starts, which is why
     /// [`EvalCache::append`] may retry it.
-    fn append_shard(path: &Path, body: &str, rows: u64) -> io::Result<()> {
+    fn append_shard(path: &Path, body: &[u8], rows: u64) -> io::Result<()> {
         if let Some(e) = ng_fault::store_append_error() {
             return Err(e);
         }
@@ -376,14 +377,14 @@ impl EvalCache {
             // the caller believes the rows landed, exactly as a real
             // crash victim would have. Readers skip the torn row, and
             // the next run re-evaluates and re-appends it.
-            let data = body.strip_suffix('\n').unwrap_or(body);
-            let last_start = data.rfind('\n').map_or(0, |i| i + 1);
+            let data = body.strip_suffix(b"\n").unwrap_or(body);
+            let last_start = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
             let torn_end = last_start + (data.len() - last_start) / 2;
-            file.write_all(&body.as_bytes()[..torn_end.max(1)])?;
+            file.write_all(&body[..torn_end.max(1)])?;
             obs_counters::store_rows_appended().add(rows.saturating_sub(1));
             return Ok(());
         }
-        file.write_all(body.as_bytes())?;
+        file.write_all(body)?;
         obs_counters::store_rows_appended().add(rows);
         Ok(())
     }

@@ -6,7 +6,8 @@
 //! is what lets the evaluation cache return results indistinguishable
 //! from a fresh run.
 
-use ng_neural::apps::{AppKind, EncodingKind};
+use std::fmt;
+use std::io::{self, Write};
 
 use crate::mapsearch::MapSearchOutcome;
 use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
@@ -19,12 +20,13 @@ pub const CSV_HEADER: &str = "index,app,encoding,pixels,nfp_units,clock_ghz,grid
                               area_pct_of_gpu,power_pct_of_gpu,gpu_ms,\
                               ngpc_frame_ms,amdahl_bound,plateaued";
 
-/// One CSV data row of an evaluated point (no trailing newline) — the
-/// unit both the full-sweep CSV and the point-level cache shards are
+/// Write one CSV data row of an evaluated point (no trailing newline)
+/// — the unit both the full-sweep CSV and the point-store shards are
 /// built from.
-pub fn point_to_row(p: &EvaluatedPoint) -> String {
+pub(crate) fn write_point_row(w: &mut impl Write, p: &EvaluatedPoint) -> io::Result<()> {
     let d = &p.point;
-    format!(
+    write!(
+        w,
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         d.index,
         app_slug(d.app),
@@ -49,7 +51,8 @@ pub fn point_to_row(p: &EvaluatedPoint) -> String {
     )
 }
 
-/// Parse one [`point_to_row`] data row.
+/// Parse one data row as written by the CSV emitters (no trailing
+/// newline).
 pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != 20 {
@@ -89,46 +92,68 @@ pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
 pub const MAP_CSV_COLUMNS: &str =
     "fixed_mlp_cycles,searched_mlp_cycles,map_speedup,map_energy_uj,searched_speedup";
 
-/// Render evaluated points as CSV with the `--map-search` side table
-/// joined on: the plain [`CSV_HEADER`] plus [`MAP_CSV_COLUMNS`], one
-/// annotated row per point. Floats use shortest-round-trip `Display`,
-/// so a warm (100 % memo hit) re-run reproduces a cold run's output
-/// byte-for-byte. `annotations.metrics` must be index-aligned with
-/// `points` (which [`crate::mapsearch::annotate`] guarantees).
+/// Stream evaluated points as CSV into `w`: the header, then one row
+/// per point, each field written straight into the writer. With
+/// `annotations` (the `--map-search` side table) the header gains
+/// [`MAP_CSV_COLUMNS`] and every row its five mapping fields;
+/// `annotations.metrics` must be index-aligned with `points` (which
+/// [`crate::mapsearch::annotate`] guarantees). Floats use
+/// shortest-round-trip `Display`, so a parse reproduces every value.
+pub fn write_points_csv(
+    w: &mut impl Write,
+    points: &[EvaluatedPoint],
+    annotations: Option<&MapSearchOutcome>,
+) -> io::Result<()> {
+    match annotations {
+        None => {
+            writeln!(w, "{CSV_HEADER}")?;
+            for p in points {
+                write_point_row(w, p)?;
+                w.write_all(b"\n")?;
+            }
+        }
+        Some(a) => {
+            assert_eq!(points.len(), a.metrics.len(), "annotation side table misaligned");
+            writeln!(w, "{CSV_HEADER},{MAP_CSV_COLUMNS}")?;
+            for (p, m) in points.iter().zip(&a.metrics) {
+                write_point_row(w, p)?;
+                writeln!(
+                    w,
+                    ",{},{},{},{},{}",
+                    m.fixed_mlp_cycles,
+                    m.searched_mlp_cycles,
+                    m.map_speedup(),
+                    m.energy_uj,
+                    m.speedup,
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Run a writer-based emitter into memory.
+fn emit_to_string(emit: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    emit(&mut out).expect("writing into a Vec cannot fail");
+    String::from_utf8(out).expect("the emitters write UTF-8")
+}
+
+/// Render evaluated points as CSV (header + one row per point):
+/// [`write_points_csv`] into a `String`.
+pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
+    emit_to_string(|w| write_points_csv(w, points, None))
+}
+
+/// [`points_to_csv`] with the `--map-search` side table joined on: the
+/// plain [`CSV_HEADER`] plus [`MAP_CSV_COLUMNS`], one annotated row per
+/// point. A warm (100 % memo hit) re-run reproduces a cold run's
+/// output byte-for-byte.
 pub fn points_to_csv_with_mapping(
     points: &[EvaluatedPoint],
     annotations: &MapSearchOutcome,
 ) -> String {
-    assert_eq!(points.len(), annotations.metrics.len(), "annotation side table misaligned");
-    let mut out = String::with_capacity(96 * (points.len() + 1));
-    out.push_str(CSV_HEADER);
-    out.push(',');
-    out.push_str(MAP_CSV_COLUMNS);
-    out.push('\n');
-    for (p, m) in points.iter().zip(&annotations.metrics) {
-        out.push_str(&point_to_row(p));
-        out.push_str(&format!(
-            ",{},{},{},{},{}\n",
-            m.fixed_mlp_cycles,
-            m.searched_mlp_cycles,
-            m.map_speedup(),
-            m.energy_uj,
-            m.speedup,
-        ));
-    }
-    out
-}
-
-/// Render evaluated points as CSV (header + one row per point).
-pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
-    let mut out = String::with_capacity(64 * (points.len() + 1));
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for p in points {
-        out.push_str(&point_to_row(p));
-        out.push('\n');
-    }
-    out
+    emit_to_string(|w| write_points_csv(w, points, Some(annotations)))
 }
 
 /// Parse [`points_to_csv`] output (used by the evaluation cache).
@@ -159,57 +184,79 @@ pub fn points_from_csv(text: &str) -> Result<Vec<EvaluatedPoint>, String> {
 
 /// A JSON number: finite floats via shortest-round-trip `Display`,
 /// non-finite as `null` (JSON has no inf/nan).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+struct JsonF64(f64);
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
         }
     }
-    out.push('"');
-    out
 }
 
-fn app_list(apps: &[AppKind]) -> String {
-    let items: Vec<String> = apps.iter().map(|&a| json_str(app_slug(a))).collect();
-    format!("[{}]", items.join(","))
+/// A quoted, escaped JSON string.
+pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
 }
 
-fn encoding_list(encodings: &[EncodingKind]) -> String {
-    let items: Vec<String> = encodings.iter().map(|&e| json_str(encoding_slug(e))).collect();
-    format!("[{}]", items.join(","))
+/// A JSON array of quoted slugs.
+fn write_slug_list<T: Copy>(
+    w: &mut impl Write,
+    items: &[T],
+    slug: impl Fn(T) -> &'static str,
+) -> io::Result<()> {
+    w.write_all(b"[")?;
+    for (i, &item) in items.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",")?;
+        }
+        write!(w, "{}", JsonStr(slug(item)))?;
+    }
+    w.write_all(b"]")
 }
 
-fn json_point(p: &EvaluatedPoint) -> String {
+/// One point's JSON object; with `mapping`, the `--map-search`
+/// side-table fields (same extra columns as [`MAP_CSV_COLUMNS`]) are
+/// joined on after the point's own.
+fn write_json_point(
+    w: &mut impl Write,
+    p: &EvaluatedPoint,
+    mapping: Option<&crate::mapsearch::MapMetrics>,
+) -> io::Result<()> {
     let d = &p.point;
-    format!(
+    write!(
+        w,
         "{{\"index\":{},\"app\":{},\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\
          \"clock_ghz\":{},\"grid_sram_kb\":{},\"grid_sram_banks\":{},\"encoding_engines\":{},\
          \"mac_rows\":{},\"mac_cols\":{},\"lanes_per_engine\":{},\"input_fifo_depth\":{},\
          \"speedup\":{},\
          \"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{},\"gpu_ms\":{},\"ngpc_frame_ms\":{},\
-         \"amdahl_bound\":{},\"plateaued\":{}}}",
+         \"amdahl_bound\":{},\"plateaued\":{}",
         d.index,
-        json_str(app_slug(d.app)),
-        json_str(encoding_slug(d.encoding)),
+        JsonStr(app_slug(d.app)),
+        JsonStr(encoding_slug(d.encoding)),
         d.pixels,
         d.nfp_units,
-        json_f64(d.clock_ghz),
+        JsonF64(d.clock_ghz),
         d.grid_sram_kb,
         d.grid_sram_banks,
         d.encoding_engines,
@@ -217,27 +264,41 @@ fn json_point(p: &EvaluatedPoint) -> String {
         d.mac_cols,
         d.lanes_per_engine,
         d.input_fifo_depth,
-        json_f64(p.speedup),
-        json_f64(p.area_pct_of_gpu),
-        json_f64(p.power_pct_of_gpu),
-        json_f64(p.gpu_ms),
-        json_f64(p.ngpc_frame_ms),
-        json_f64(p.amdahl_bound),
+        JsonF64(p.speedup),
+        JsonF64(p.area_pct_of_gpu),
+        JsonF64(p.power_pct_of_gpu),
+        JsonF64(p.gpu_ms),
+        JsonF64(p.ngpc_frame_ms),
+        JsonF64(p.amdahl_bound),
         p.plateaued,
-    )
+    )?;
+    if let Some(m) = mapping {
+        write!(
+            w,
+            ",\"fixed_mlp_cycles\":{},\"searched_mlp_cycles\":{},\"map_speedup\":{},\
+             \"map_energy_uj\":{},\"searched_speedup\":{}",
+            JsonF64(m.fixed_mlp_cycles),
+            JsonF64(m.searched_mlp_cycles),
+            JsonF64(m.map_speedup()),
+            JsonF64(m.energy_uj),
+            JsonF64(m.speedup),
+        )?;
+    }
+    w.write_all(b"}")
 }
 
-fn json_arch(a: &ArchPoint) -> String {
-    format!(
+fn write_json_arch(w: &mut impl Write, a: &ArchPoint) -> io::Result<()> {
+    write!(
+        w,
         "{{\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\"clock_ghz\":{},\"grid_sram_kb\":{},\
          \"grid_sram_banks\":{},\"encoding_engines\":{},\"mac_rows\":{},\"mac_cols\":{},\
          \"lanes_per_engine\":{},\"input_fifo_depth\":{},\
          \"apps\":{},\"avg_speedup\":{},\"area_pct_of_gpu\":{},\
          \"power_pct_of_gpu\":{}}}",
-        json_str(encoding_slug(a.encoding)),
+        JsonStr(encoding_slug(a.encoding)),
         a.pixels,
         a.nfp_units,
-        json_f64(a.clock_ghz),
+        JsonF64(a.clock_ghz),
         a.grid_sram_kb,
         a.grid_sram_banks,
         a.encoding_engines,
@@ -246,21 +307,23 @@ fn json_arch(a: &ArchPoint) -> String {
         a.lanes_per_engine,
         a.input_fifo_depth,
         a.apps,
-        json_f64(a.avg_speedup),
-        json_f64(a.area_pct_of_gpu),
-        json_f64(a.power_pct_of_gpu),
+        JsonF64(a.avg_speedup),
+        JsonF64(a.area_pct_of_gpu),
+        JsonF64(a.power_pct_of_gpu),
     )
 }
 
-fn json_spec(spec: &SweepSpec) -> String {
-    format!(
-        "{{\"name\":{},\"apps\":{},\"encodings\":{},\"pixels\":{:?},\"nfp_units\":{:?},\
+fn write_json_spec(w: &mut impl Write, spec: &SweepSpec) -> io::Result<()> {
+    write!(w, "{{\"name\":{},\"apps\":", JsonStr(&spec.name))?;
+    write_slug_list(w, &spec.apps, app_slug)?;
+    w.write_all(b",\"encodings\":")?;
+    write_slug_list(w, &spec.encodings, encoding_slug)?;
+    write!(
+        w,
+        ",\"pixels\":{:?},\"nfp_units\":{:?},\
          \"clock_ghz\":{:?},\"grid_sram_kb\":{:?},\"grid_sram_banks\":{:?},\
          \"encoding_engines\":{:?},\"mac_rows\":{:?},\"mac_cols\":{:?},\
          \"lanes_per_engine\":{:?},\"input_fifo_depth\":{:?}}}",
-        json_str(&spec.name),
-        app_list(&spec.apps),
-        encoding_list(&spec.encodings),
         spec.pixels,
         spec.nfp_units,
         spec.clock_ghz,
@@ -274,72 +337,70 @@ fn json_spec(spec: &SweepSpec) -> String {
     )
 }
 
-/// One point's JSON object with the `--map-search` side-table fields
-/// joined on (same extra columns as [`MAP_CSV_COLUMNS`]).
-fn json_point_mapped(p: &EvaluatedPoint, m: &crate::mapsearch::MapMetrics) -> String {
-    let base = json_point(p);
-    format!(
-        "{},\"fixed_mlp_cycles\":{},\"searched_mlp_cycles\":{},\"map_speedup\":{},\
-         \"map_energy_uj\":{},\"searched_speedup\":{}}}",
-        &base[..base.len() - 1],
-        json_f64(m.fixed_mlp_cycles),
-        json_f64(m.searched_mlp_cycles),
-        json_f64(m.map_speedup()),
-        json_f64(m.energy_uj),
-        json_f64(m.speedup),
-    )
-}
-
-fn outcome_json_impl(
+/// Stream a full outcome — spec, stats, the cross-app `frontier`, and
+/// every point — into `w` as a single JSON document, one point per
+/// line. With `annotations` (the `--map-search` side table) the
+/// document gains a top-level `map_search` summary object and five
+/// mapping-derived fields on every point.
+pub fn write_outcome_json(
+    w: &mut impl Write,
     outcome: &SweepOutcome,
     frontier: &[ArchPoint],
     annotations: Option<&MapSearchOutcome>,
-) -> String {
-    let points: Vec<String> = match annotations {
-        Some(a) => {
-            assert_eq!(outcome.points.len(), a.metrics.len(), "annotation side table misaligned");
-            outcome.points.iter().zip(&a.metrics).map(|(p, m)| json_point_mapped(p, m)).collect()
-        }
-        None => outcome.points.iter().map(json_point).collect(),
-    };
-    let map_block = match annotations {
-        Some(a) => {
-            let (beats, best) = a.beats_fixed();
-            format!(
-                "\"map_search\":{{\"evals\":{},\"memo_hits\":{},\"max_disagreement\":{},\
-                 \"agreement_band\":{},\"beats_fixed\":{beats},\"best_map_speedup\":{}}},\n",
-                a.evals,
-                a.memo_hits,
-                json_f64(a.max_disagreement()),
-                json_f64(crate::mapsearch::AGREEMENT_BAND),
-                json_f64(best),
-            )
-        }
-        None => String::new(),
-    };
-    let archs: Vec<String> = frontier.iter().map(json_arch).collect();
+) -> io::Result<()> {
+    if let Some(a) = annotations {
+        assert_eq!(outcome.points.len(), a.metrics.len(), "annotation side table misaligned");
+    }
+    w.write_all(b"{\n\"spec\":")?;
+    write_json_spec(w, &outcome.spec)?;
     let s = &outcome.stats;
-    format!(
-        "{{\n\"spec\":{},\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
-         \"cache_hit\":{},\"threads\":{},\"wall_ms\":{},\"points_per_sec\":{}}},\n{map_block}\
-         \"frontier\":[{}],\n\"points\":[\n{}\n]\n}}\n",
-        json_spec(&outcome.spec),
+    writeln!(
+        w,
+        ",\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
+         \"cache_hit\":{},\"threads\":{},\"wall_ms\":{},\"points_per_sec\":{}}},",
         s.total_points,
         s.evaluated,
         s.cache_hits,
         s.cache_hit,
         s.threads,
-        json_f64(s.wall.as_secs_f64() * 1e3),
-        json_f64(s.points_per_sec()),
-        archs.join(","),
-        points.join(",\n"),
-    )
+        JsonF64(s.wall.as_secs_f64() * 1e3),
+        JsonF64(s.points_per_sec()),
+    )?;
+    if let Some(a) = annotations {
+        let (beats, best) = a.beats_fixed();
+        writeln!(
+            w,
+            "\"map_search\":{{\"evals\":{},\"memo_hits\":{},\"max_disagreement\":{},\
+             \"agreement_band\":{},\"beats_fixed\":{beats},\"best_map_speedup\":{}}},",
+            a.evals,
+            a.memo_hits,
+            JsonF64(a.max_disagreement()),
+            JsonF64(crate::mapsearch::AGREEMENT_BAND),
+            JsonF64(best),
+        )?;
+    }
+    w.write_all(b"\"frontier\":[")?;
+    for (i, a) in frontier.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",")?;
+        }
+        write_json_arch(w, a)?;
+    }
+    w.write_all(b"],\n\"points\":[\n")?;
+    for (i, p) in outcome.points.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",\n")?;
+        }
+        write_json_point(w, p, annotations.map(|a| &a.metrics[i]))?;
+    }
+    w.write_all(b"\n]\n}\n")
 }
 
 /// Render a full outcome — spec, stats, every point, and the cross-app
-/// frontier — as a single JSON document.
+/// frontier — as a single JSON document: [`write_outcome_json`] into a
+/// `String`.
 pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
-    outcome_json_impl(outcome, frontier, None)
+    emit_to_string(|w| write_outcome_json(w, outcome, frontier, None))
 }
 
 /// [`outcome_to_json`] with the `--map-search` side table joined on: a
@@ -350,7 +411,7 @@ pub fn outcome_to_json_with_mapping(
     frontier: &[ArchPoint],
     annotations: &MapSearchOutcome,
 ) -> String {
-    outcome_json_impl(outcome, frontier, Some(annotations))
+    emit_to_string(|w| write_outcome_json(w, outcome, frontier, Some(annotations)))
 }
 
 #[cfg(test)]
@@ -431,10 +492,42 @@ mod tests {
         }
     }
 
+    /// Every writer emitter produces exactly the bytes of its `String`
+    /// wrapper, plain and with the `--map-search` side table, also
+    /// through a buffer far smaller than one row (as the CLI streams
+    /// into a `BufWriter`).
+    #[test]
+    fn writer_emitters_match_their_string_wrappers_byte_for_byte() {
+        let outcome = outcome();
+        let annotations = crate::mapsearch::annotate(&outcome.points);
+        let frontier = outcome.cross_app_frontier(&Constraints::NONE);
+        let written = |emit: &dyn Fn(&mut io::BufWriter<Vec<u8>>) -> io::Result<()>| {
+            let mut w = io::BufWriter::with_capacity(7, Vec::new());
+            emit(&mut w).unwrap();
+            String::from_utf8(w.into_inner().unwrap()).unwrap()
+        };
+        assert_eq!(
+            written(&|w| write_points_csv(w, &outcome.points, None)),
+            points_to_csv(&outcome.points)
+        );
+        assert_eq!(
+            written(&|w| write_points_csv(w, &outcome.points, Some(&annotations))),
+            points_to_csv_with_mapping(&outcome.points, &annotations)
+        );
+        assert_eq!(
+            written(&|w| write_outcome_json(w, &outcome, &frontier, None)),
+            outcome_to_json(&outcome, &frontier)
+        );
+        assert_eq!(
+            written(&|w| write_outcome_json(w, &outcome, &frontier, Some(&annotations))),
+            outcome_to_json_with_mapping(&outcome, &frontier, &annotations)
+        );
+    }
+
     #[test]
     fn json_strings_escape_controls() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(JsonStr("a\"b\\c\n").to_string(), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(JsonF64(f64::NAN).to_string(), "null");
+        assert_eq!(JsonF64(1.5).to_string(), "1.5");
     }
 }

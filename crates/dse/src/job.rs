@@ -220,14 +220,14 @@ impl JobManifest {
     /// Serialize as one flat JSON object (`None` fields omitted).
     pub fn to_json(&self) -> String {
         let mut fields: Vec<String> = vec![
-            format!("\"id\":{}", crate::emit::json_str(&self.id)),
-            format!("\"mode\":{}", crate::emit::json_str(self.mode.as_str())),
-            format!("\"status\":{}", crate::emit::json_str(self.status.as_str())),
+            format!("\"id\":{}", crate::emit::JsonStr(&self.id)),
+            format!("\"mode\":{}", crate::emit::JsonStr(self.mode.as_str())),
+            format!("\"status\":{}", crate::emit::JsonStr(self.status.as_str())),
             format!("\"created_us\":{}", self.created_us),
-            format!("\"model_version\":{}", crate::emit::json_str(&self.model_version)),
+            format!("\"model_version\":{}", crate::emit::JsonStr(&self.model_version)),
             format!("\"fingerprint\":{}", self.fingerprint),
-            format!("\"spec_toml\":{}", crate::emit::json_str(&self.spec_toml)),
-            format!("\"cache_dir\":{}", crate::emit::json_str(&self.cache_dir)),
+            format!("\"spec_toml\":{}", crate::emit::JsonStr(&self.spec_toml)),
+            format!("\"cache_dir\":{}", crate::emit::JsonStr(&self.cache_dir)),
             format!("\"total_points\":{}", self.total_points),
             format!("\"delivered\":{}", self.delivered),
         ];
@@ -235,13 +235,13 @@ impl JobManifest {
             fields.push(format!("\"threads\":{v}"));
         }
         if let Some(v) = &self.csv {
-            fields.push(format!("\"csv\":{}", crate::emit::json_str(v)));
+            fields.push(format!("\"csv\":{}", crate::emit::JsonStr(v)));
         }
         if let Some(v) = &self.json_out {
-            fields.push(format!("\"json_out\":{}", crate::emit::json_str(v)));
+            fields.push(format!("\"json_out\":{}", crate::emit::JsonStr(v)));
         }
         if let Some(v) = &self.search_strategy {
-            fields.push(format!("\"search_strategy\":{}", crate::emit::json_str(v)));
+            fields.push(format!("\"search_strategy\":{}", crate::emit::JsonStr(v)));
         }
         if let Some(v) = self.budget {
             fields.push(format!("\"budget\":{v}"));
@@ -439,7 +439,7 @@ fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonValue)>, String> {
 }
 
 /// Parse one JSON string literal (cursor on the opening quote),
-/// undoing exactly the escapes [`crate::emit::json_str`] produces.
+/// undoing exactly the escapes [`crate::emit::JsonStr`] produces.
 fn parse_json_string(
     chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
 ) -> Result<String, String> {

@@ -98,6 +98,9 @@ pub const MODEL_VERSION: &str = "ngpc-models-v4";
 pub fn model_fingerprint() -> u64 {
     static FINGERPRINT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FINGERPRINT.get_or_init(|| {
+        // Its own stage, so a traced run attributes the probe sweep
+        // (which nests under it) and the hashing to the fingerprint.
+        let _span = ng_obs::span("fingerprint");
         // The probe is bookkeeping, not user work: it must not consume
         // a fault plan's tick numbering or budgets (a
         // `signal:term@point=5` should interrupt the user's sweep at

@@ -224,8 +224,17 @@ pub fn describe_constraints(c: &Constraints) -> String {
 }
 
 /// The full terminal report: spec/run summary, cross-app frontier, and
-/// (optionally) per-app frontiers.
-pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usize, per_app: bool) {
+/// (optionally) per-app frontiers. `archs` is the outcome's
+/// [`SweepOutcome::cross_app`] fold and `frontier` its constrained
+/// Pareto frontier, computed once by the caller.
+pub fn print_report(
+    outcome: &SweepOutcome,
+    archs: &[ArchPoint],
+    frontier: &[ArchPoint],
+    constraints: &Constraints,
+    top: usize,
+    per_app: bool,
+) {
     let spec = &outcome.spec;
     let stats = &outcome.stats;
     println!(
@@ -272,13 +281,12 @@ pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usiz
     }
     println!("constraints: {}", describe_constraints(constraints));
 
-    let frontier = outcome.cross_app_frontier(constraints);
     println!(
         "\ncross-app-average Pareto frontier ({} of {} architectures):",
         frontier.len(),
-        outcome.cross_app().len(),
+        archs.len(),
     );
-    print!("{}", frontier_table(&frontier, top));
+    print!("{}", frontier_table(frontier, top));
 
     if per_app {
         for app in AppKind::ALL {

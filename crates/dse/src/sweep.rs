@@ -1,6 +1,5 @@
 //! The sweep engine: spec in, deterministic evaluated points out.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -186,57 +185,70 @@ impl SweepOutcome {
     }
 
     /// Fold per-app results into one [`ArchPoint`] per architecture
-    /// (cross-app average speedup), in a deterministic order.
+    /// (cross-app average speedup), in spec order of the architectures.
+    ///
+    /// Apps are the outermost spec axis and [`SweepSpec::validate`]
+    /// rejects duplicate axis values, so the `points` (in spec order)
+    /// hold `apps` equal blocks of one point per architecture each:
+    /// architecture `k`'s apps sit at `k + i * (points / apps)`. The
+    /// fold is plain index arithmetic, summing the speedups in app
+    /// order; area and power are app-independent and read off the
+    /// first app's point.
     pub fn cross_app(&self) -> Vec<ArchPoint> {
-        let mut by_arch: HashMap<crate::spec::ArchKey, ArchPoint> = HashMap::new();
-        let mut order: Vec<crate::spec::ArchKey> = Vec::new();
-        for p in &self.points {
-            let key = p.point.arch_key();
-            let entry = by_arch.entry(key).or_insert_with(|| {
-                order.push(key);
-                ArchPoint {
-                    encoding: p.point.encoding,
-                    pixels: p.point.pixels,
-                    nfp_units: p.point.nfp_units,
-                    clock_ghz: p.point.clock_ghz,
-                    grid_sram_kb: p.point.grid_sram_kb,
-                    grid_sram_banks: p.point.grid_sram_banks,
-                    encoding_engines: p.point.encoding_engines,
-                    mac_rows: p.point.mac_rows,
-                    mac_cols: p.point.mac_cols,
-                    lanes_per_engine: p.point.lanes_per_engine,
-                    input_fifo_depth: p.point.input_fifo_depth,
-                    apps: 0,
-                    avg_speedup: 0.0,
-                    area_pct_of_gpu: p.area_pct_of_gpu,
-                    power_pct_of_gpu: p.power_pct_of_gpu,
+        debug_assert_eq!(self.points.len(), self.spec.point_count(), "points not in spec order");
+        let apps = self.spec.apps.len();
+        let stride = self.points.len().checked_div(apps).unwrap_or(0);
+        (0..stride)
+            .map(|k| {
+                let first = &self.points[k];
+                let mut sum = 0.0;
+                for i in 0..apps {
+                    let p = &self.points[k + i * stride];
+                    debug_assert_eq!(p.point.arch_key(), first.point.arch_key());
+                    sum += p.speedup;
                 }
-            });
-            entry.apps += 1;
-            entry.avg_speedup += p.speedup; // divided once all apps folded
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let mut a = by_arch[&key];
-                a.avg_speedup /= a.apps as f64;
-                a
+                let d = &first.point;
+                ArchPoint {
+                    encoding: d.encoding,
+                    pixels: d.pixels,
+                    nfp_units: d.nfp_units,
+                    clock_ghz: d.clock_ghz,
+                    grid_sram_kb: d.grid_sram_kb,
+                    grid_sram_banks: d.grid_sram_banks,
+                    encoding_engines: d.encoding_engines,
+                    mac_rows: d.mac_rows,
+                    mac_cols: d.mac_cols,
+                    lanes_per_engine: d.lanes_per_engine,
+                    input_fifo_depth: d.input_fifo_depth,
+                    apps: apps as u32,
+                    avg_speedup: sum / apps as f64,
+                    area_pct_of_gpu: first.area_pct_of_gpu,
+                    power_pct_of_gpu: first.power_pct_of_gpu,
+                }
             })
             .collect()
     }
 
     /// The constrained Pareto frontier of the cross-app-average
-    /// objective, sorted by ascending area. Objectives are computed
-    /// once per architecture and streamed with dominance pruning.
+    /// objective, sorted by ascending area: [`arch_frontier`] over
+    /// [`SweepOutcome::cross_app`].
     pub fn cross_app_frontier(&self, constraints: &Constraints) -> Vec<ArchPoint> {
-        let mut frontier = StreamingFrontier::new();
-        for a in self.cross_app() {
-            frontier.insert_constrained(a.objectives(), a, constraints);
-        }
-        let mut out = frontier.into_payloads();
-        out.sort_by(|a: &ArchPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
-        out
+        arch_frontier(&self.cross_app(), constraints)
     }
+}
+
+/// The constrained Pareto frontier of folded architectures (see
+/// [`SweepOutcome::cross_app`]), sorted by ascending area. Objectives
+/// are computed once per architecture and streamed with dominance
+/// pruning.
+pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<ArchPoint> {
+    let mut frontier = StreamingFrontier::new();
+    for a in archs {
+        frontier.insert_constrained(a.objectives(), *a, constraints);
+    }
+    let mut out = frontier.into_payloads();
+    out.sort_by(|a: &ArchPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
+    out
 }
 
 /// Evaluate design points on the work-stealing pool: one result per
@@ -425,25 +437,30 @@ impl SweepEngine {
         let cache = self.cache_dir.as_ref().map(|dir| EvalCache::new(dir.clone()));
 
         let design_points = spec.points();
-        // `slots` doubles as the hit/miss partition and the result
-        // buffer: hits are already final, the gaps are filled from the
-        // pool's output below.
-        let mut slots: Vec<Option<EvaluatedPoint>> = {
-            let _span = ng_obs::span("lookup");
-            match &cache {
-                Some(cache) => cache.lookup(&design_points),
-                None => vec![None; design_points.len()],
+        let total = design_points.len();
+        // With a store, `slots` doubles as the hit/miss partition and
+        // the result buffer: hits are already final, the gaps are
+        // filled from the pool's output below. Without one every point
+        // is a miss, so the spec's points go to the pool as they are.
+        let (slots, missing) = match &cache {
+            Some(cache) => {
+                let slots = {
+                    let _span = ng_obs::span("lookup");
+                    cache.lookup(&design_points)
+                };
+                let missing: Vec<DesignPoint> = design_points
+                    .iter()
+                    .zip(&slots)
+                    .filter(|(_, hit)| hit.is_none())
+                    .map(|(p, _)| *p)
+                    .collect();
+                (Some(slots), missing)
             }
+            None => (None, design_points),
         };
-        let missing: Vec<DesignPoint> = design_points
-            .iter()
-            .zip(&slots)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(p, _)| *p)
-            .collect();
-        drop(design_points);
-        obs_counters::sweep_points().add(slots.len() as u64);
-        obs_counters::sweep_cache_hits().add((slots.len() - missing.len()) as u64);
+        let cache_hits = total - missing.len();
+        obs_counters::sweep_points().add(total as u64);
+        obs_counters::sweep_cache_hits().add(cache_hits as u64);
 
         // The work-stealing pool sees only the misses; results come
         // back in `missing` (= spec) order. The meter samples the
@@ -458,7 +475,14 @@ impl SweepEngine {
         );
         let (eval_slots, interrupted) = evaluate_points_partial(&missing, self.threads, cancel);
         meter.finish();
-        let evaluated: Vec<EvaluatedPoint> = eval_slots.iter().copied().flatten().collect();
+        let misses = missing.len();
+        drop(missing);
+        let evaluated: Vec<EvaluatedPoint> = if interrupted {
+            eval_slots.into_iter().flatten().collect()
+        } else {
+            // Every slot is filled, so this collects in place.
+            eval_slots.into_iter().map(|s| s.expect("every point evaluated")).collect()
+        };
         obs_counters::sweep_fresh_evals().add(evaluated.len() as u64);
 
         // A cache write failure (read-only dir, ...) downgrades to a
@@ -472,33 +496,36 @@ impl SweepEngine {
             cache.store_dir()
         });
 
-        let cache_hits = slots.len() - missing.len();
         if interrupted {
             return Ok(SweepRun::Interrupted(DrainedSweep {
-                total_points: slots.len(),
+                total_points: total,
                 cache_hits,
                 freshly_completed: evaluated.len(),
                 cache_path,
             }));
         }
 
-        // Merge in place: cached points keep their slot, fresh
-        // evaluations fill the gaps in order — both sides are already
-        // in spec order.
-        let mut fresh = evaluated.into_iter();
-        for slot in slots.iter_mut().filter(|s| s.is_none()) {
-            *slot = Some(fresh.next().expect("one evaluation per miss"));
-        }
-        let points: Vec<EvaluatedPoint> =
-            slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+        let points = match slots {
+            None => evaluated,
+            // Merge in place: cached points keep their slot, fresh
+            // evaluations fill the gaps in order — both sides are
+            // already in spec order.
+            Some(mut slots) => {
+                let mut fresh = evaluated.into_iter();
+                for slot in slots.iter_mut().filter(|s| s.is_none()) {
+                    *slot = Some(fresh.next().expect("one evaluation per miss"));
+                }
+                slots.into_iter().map(|s| s.expect("every slot filled")).collect()
+            }
+        };
 
         Ok(SweepRun::Complete(SweepOutcome {
             spec,
             stats: SweepStats {
                 total_points: points.len(),
-                evaluated: missing.len(),
+                evaluated: misses,
                 cache_hits,
-                cache_hit: cache.is_some() && missing.is_empty(),
+                cache_hit: cache.is_some() && misses == 0,
                 threads: self.threads,
                 wall: started.elapsed(),
             },
@@ -549,6 +576,79 @@ mod tests {
             let a = archs.iter().find(|a| a.nfp_units == n).unwrap();
             assert_eq!(a.apps, 4);
             assert!((a.avg_speedup - target).abs() < target * 0.01, "{}: {}", n, a.avg_speedup);
+        }
+    }
+
+    /// The reference cross-app fold: group by architecture key in
+    /// first-seen order, summing speedups in point order.
+    fn hashmap_cross_app(points: &[EvaluatedPoint]) -> Vec<ArchPoint> {
+        let mut by_arch: std::collections::HashMap<crate::spec::ArchKey, (ArchPoint, u32, f64)> =
+            std::collections::HashMap::new();
+        let mut order = Vec::new();
+        for p in points {
+            let key = p.point.arch_key();
+            let entry = by_arch.entry(key).or_insert_with(|| {
+                order.push(key);
+                let d = &p.point;
+                let arch = ArchPoint {
+                    encoding: d.encoding,
+                    pixels: d.pixels,
+                    nfp_units: d.nfp_units,
+                    clock_ghz: d.clock_ghz,
+                    grid_sram_kb: d.grid_sram_kb,
+                    grid_sram_banks: d.grid_sram_banks,
+                    encoding_engines: d.encoding_engines,
+                    mac_rows: d.mac_rows,
+                    mac_cols: d.mac_cols,
+                    lanes_per_engine: d.lanes_per_engine,
+                    input_fifo_depth: d.input_fifo_depth,
+                    apps: 0,
+                    avg_speedup: 0.0,
+                    area_pct_of_gpu: p.area_pct_of_gpu,
+                    power_pct_of_gpu: p.power_pct_of_gpu,
+                };
+                (arch, 0, 0.0)
+            });
+            entry.1 += 1;
+            entry.2 += p.speedup;
+        }
+        order
+            .into_iter()
+            .map(|key| {
+                let (arch, apps, sum) = by_arch[&key];
+                ArchPoint { apps, avg_speedup: sum / apps as f64, ..arch }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stride_cross_app_matches_the_hashmap_fold_bit_for_bit() {
+        // Two apps, and axis values out of their natural order.
+        let reordered = SweepSpec {
+            name: "reordered".to_string(),
+            apps: vec![AppKind::Gia, AppKind::Nerf],
+            encodings: vec![EncodingKind::LowResDenseGrid, EncodingKind::MultiResHashGrid],
+            nfp_units: vec![64, 8, 32],
+            grid_sram_kb: vec![1024, 256],
+            grid_sram_banks: vec![8, 2],
+            ..SweepSpec::default()
+        };
+        let specs = [
+            SweepSpec::quick(),
+            SweepSpec::paper(),
+            SweepSpec::preset("mac-arrays").unwrap(),
+            SweepSpec::preset("resolutions").unwrap(),
+            reordered,
+        ];
+        for spec in specs {
+            let outcome = engine().run(&spec).unwrap();
+            let stride = outcome.cross_app();
+            let reference = hashmap_cross_app(&outcome.points);
+            assert_eq!(stride.len() * spec.apps.len(), outcome.points.len(), "{}", spec.name);
+            assert_eq!(stride, reference, "{}", spec.name);
+            for (a, b) in stride.iter().zip(&reference) {
+                assert_eq!(a.avg_speedup.to_bits(), b.avg_speedup.to_bits(), "{}", spec.name);
+            }
         }
     }
 
