@@ -17,12 +17,10 @@
 //! cold_points_per_sec}`) so future PRs have a perf trajectory to
 //! compare against — covering both the flagship paper sweep and the
 //! MAC-array / engine-count space the compositional timing model
-//! opened — plus a `guided` entry for the budgeted searcher over the
-//! exploded guided-lanes space (`{space_points, budget, evaluations,
-//! wall_s, points_per_sec, recovered_headline}`), plus a `map_search`
-//! entry for the joint mapping search: one annotate pass that searches
-//! every distinct `(MAC array, layer shape)` problem once (`{preset,
-//! wall_s, searches, memo_hits, max_disagreement}`).
+//! opened — plus a `map_search` entry for the joint mapping search:
+//! one annotate pass that searches every distinct `(MAC array, layer
+//! shape)` problem once (`{preset, wall_s, searches, memo_hits,
+//! max_disagreement}`).
 //!
 //! Since the observability PR each preset entry also carries the
 //! `ng-obs` counter deltas of its cold run (`counters_cold`) and the
@@ -53,7 +51,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepOutcome, SweepSpec};
+use ng_dse::{SweepEngine, SweepOutcome, SweepSpec};
 
 fn run(spec: &SweepSpec, cache_dir: &std::path::Path) -> (f64, SweepOutcome) {
     let engine = SweepEngine::new().with_cache_dir(cache_dir);
@@ -162,44 +160,6 @@ fn bench_map_search(spec: &SweepSpec) -> MapSearchBench {
     }
 }
 
-/// One cold guided search over the exploded preset (its own point
-/// cache, so the searcher really evaluates).
-struct GuidedBench {
-    space_points: usize,
-    budget: usize,
-    evaluations: usize,
-    wall_s: f64,
-    points_per_sec: f64,
-    recovered_headline: bool,
-}
-
-fn bench_guided(scratch: &std::path::Path) -> GuidedBench {
-    let spec = SweepSpec::guided_lanes();
-    let search = SearchSpec::for_space(&spec);
-    let searcher = Searcher::new().with_cache_dir(scratch.join("point-cache-guided-search"));
-    let outcome = searcher.run(&spec, &search).expect("preset validates");
-    let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
-    let stats = &outcome.stats;
-    let wall_s = stats.wall.as_secs_f64();
-    println!("[guided-lanes --search]");
-    println!(
-        "search:      {:8.1} ms  ({} of {} points evaluated, {:.2}% of the space, headline {})",
-        wall_s * 1e3,
-        stats.evaluations,
-        stats.space_points,
-        100.0 * stats.budget_fraction_used(),
-        if recovered { "recovered" } else { "MISSED" },
-    );
-    GuidedBench {
-        space_points: stats.space_points,
-        budget: stats.budget,
-        evaluations: stats.evaluations,
-        wall_s,
-        points_per_sec: if wall_s > 0.0 { stats.evaluations as f64 / wall_s } else { 0.0 },
-        recovered_headline: recovered,
-    }
-}
-
 /// The `cold_points_per_sec` recorded for `preset` in the committed
 /// trajectory file, extracted with a string scan (the file is written
 /// by this binary, so the shape is known; no JSON dependency needed).
@@ -287,13 +247,10 @@ fn main() -> ExitCode {
     });
 
     let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &scratch)).collect();
-    // The guided searcher is benched on the full runs only (its space
-    // is a full preset; a --quick run has nothing to search). The joint
-    // mapping search is benched on the run's first preset in both modes
+    // The joint mapping search is benched on the run's first preset
     // (it is cheap: one search per distinct MAC-array/layer problem,
     // not per point).
     let map_search = bench_map_search(&specs[0]);
-    let guided = if quick { None } else { Some(bench_guided(&scratch)) };
 
     let entries: Vec<String> = benches
         .iter()
@@ -319,23 +276,6 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    let guided_json = guided
-        .as_ref()
-        .map(|g| {
-            format!(
-                ",\n  \"guided\": {{\n    \"preset\": \"guided-lanes\",\n    \
-                 \"space_points\": {},\n    \"budget\": {},\n    \"evaluations\": {},\n    \
-                 \"wall_s\": {},\n    \"points_per_sec\": {},\n    \
-                 \"recovered_headline\": {}\n  }}",
-                g.space_points,
-                g.budget,
-                g.evaluations,
-                g.wall_s,
-                g.points_per_sec,
-                g.recovered_headline,
-            )
-        })
-        .unwrap_or_default();
     let map_search_json = format!(
         ",\n  \"map_search\": {{\n    \"preset\": \"{}\",\n    \"wall_s\": {},\n    \
          \"searches\": {},\n    \"memo_hits\": {},\n    \"max_disagreement\": {}\n  }}",
@@ -375,9 +315,8 @@ fn main() -> ExitCode {
         ng_dse::obs_counters::jobs_resumed().get(),
     );
     let json = format!(
-        "{{\n  \"presets\": [\n{}\n  ]{}{}{}{}\n}}\n",
+        "{{\n  \"presets\": [\n{}\n  ]{}{}{}\n}}\n",
         entries.join(",\n"),
-        guided_json,
         map_search_json,
         robustness_json,
         stage_json
@@ -413,16 +352,6 @@ fn main() -> ExitCode {
     }
 
     if check_warm {
-        if let Some(g) = &guided {
-            if !g.recovered_headline {
-                eprintln!(
-                    "bench_dse: REGRESSION — guided search missed the NGPC-64 headline \
-                     organisation ({} evaluations of {})",
-                    g.evaluations, g.space_points
-                );
-                return ExitCode::FAILURE;
-            }
-        }
         for b in &benches {
             if b.warm_evaluated != 0 {
                 eprintln!(

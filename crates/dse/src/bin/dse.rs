@@ -5,8 +5,7 @@
 //! dse --preset paper --max-area 3 --max-power 5
 //! dse --spec sweep.toml --json out.json --csv out.csv
 //! dse --preset quick --per-app --threads 4
-//! dse --search --preset guided-lanes        # budgeted guided search (~260k-point space)
-//! dse --search evolve --preset guided-lanes --budget 8000 --seed 7
+//! dse --preset guided-lanes --check-headline  # exhaustive ~260k-point space
 //! ```
 
 use std::fs::File;
@@ -41,13 +40,6 @@ SPEC:
     --mac-cols LIST      override MAC-array column axis, e.g. 32,64,128
     --lanes LIST         override query-lanes-per-engine axis, e.g. 1,2,4
     --fifo LIST          override input-FIFO-depth axis, e.g. 2,8,64
-
-SEARCH (budgeted guided exploration instead of the exhaustive sweep):
-    --search [STRAT]     guided search: hill (default) | evolve
-    --budget N           max fresh point evaluations (default: 5% of
-                         the space)
-    --seed N             search RNG seed (default: fixed; equal seeds
-                         reproduce the exact trajectory)
 
 CONSTRAINTS (filter the reported frontier, not the evaluation):
     --max-area PCT       keep architectures with area ≤ PCT% of the GPU die
@@ -87,9 +79,9 @@ GRACEFUL SHUTDOWN AND RESUME:
     dispatched, everything already computed is flushed to the point
     store, the job manifest is marked interrupted, and the process
     exits 130. A second signal exits 131 immediately (the store's
-    appends are crash-safe either way). Every cache-enabled
-    sweep/search run writes a durable job manifest to
-    <cache-dir>/jobs/job-*.json before evaluating.
+    appends are crash-safe either way). Every cache-enabled sweep
+    writes a durable job manifest to <cache-dir>/jobs/job-*.json
+    before evaluating.
 
     dse resume [JOB]     re-enter an interrupted job and evaluate only
                          its missing tail (the store replays the prefix
@@ -128,12 +120,12 @@ OUTPUT:
     --per-app            also print each app's own Pareto frontier
     --csv PATH           write every evaluated point as CSV
     --json PATH          write spec + stats + points + frontier as JSON
-    --check-headline     exit non-zero if the paper's NGPC-64 NFP
-                         (hashgrid, 1 GHz, 1MB/8, 64x64 MACs, 16 engines,
-                         1 lane, 64-deep FIFO) was evaluated but is NOT on
-                         the cross-app Pareto frontier; under --search it
-                         additionally requires the searcher to *recover*
-                         that point within its budget (the CI guard)
+    --check-headline     exit non-zero if the paper's NGPC-64 organisation
+                         (hashgrid, FHD, 64 NFPs, 1 GHz, 1MB/8-bank grid
+                         SRAMs, 16 engines, 64x64 MACs) was evaluated but
+                         is NOT on the cross-app Pareto frontier. Lanes
+                         and FIFO depth are left free: guided-lanes
+                         right-sizes the FIFO to 2 entries (the CI guard)
     --help               this text
 
 EXIT CODES (shared by every mode; a check's code is read by CI):
@@ -189,9 +181,6 @@ struct Cli {
     check_headline: bool,
     map_search: bool,
     check_map_agreement: bool,
-    search: Option<ng_dse::SearchStrategy>,
-    budget: Option<usize>,
-    seed: Option<u64>,
     trace: Option<String>,
     faults: Option<String>,
     metrics: bool,
@@ -232,9 +221,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         check_headline: false,
         map_search: false,
         check_map_agreement: false,
-        search: None,
-        budget: None,
-        seed: None,
         trace: None,
         faults: None,
         metrics: false,
@@ -260,24 +246,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 let v = value(arg)?;
                 overrides.push((arg.clone(), v));
             }
-            "--search" => {
-                // The strategy operand is optional: `--search` alone
-                // means hill climbing.
-                let strategy = match it.clone().next() {
-                    Some(next) if !next.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        ng_dse::SearchStrategy::parse(v).ok_or_else(|| {
-                            format!("--search: unknown strategy `{v}` (hill/evolve)")
-                        })?
-                    }
-                    _ => ng_dse::SearchStrategy::HillClimb,
-                };
-                cli.search = Some(strategy);
-            }
-            "--budget" => {
-                cli.budget = Some(value(arg)?.parse().map_err(|_| "--budget: not a number")?)
-            }
-            "--seed" => cli.seed = Some(value(arg)?.parse().map_err(|_| "--seed: not a number")?),
             "--max-area" => {
                 cli.constraints.max_area_pct =
                     Some(value(arg)?.parse().map_err(|_| "--max-area: not a number")?)
@@ -360,16 +328,18 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 /// extraction. Returns `None` when the headline point was not evaluated
 /// (axis overrides can sweep it away entirely), `Some(on_frontier)`
 /// otherwise. `archs` is the sweep's cross-app fold and `frontier` its
-/// constrained Pareto frontier.
+/// constrained Pareto frontier. The match is
+/// [`ng_dse::ArchPoint::is_paper_organisation`], which leaves the
+/// lane/FIFO axes free.
 fn headline_check(
     archs: &[ng_dse::ArchPoint],
     frontier: &[ng_dse::ArchPoint],
     constraints: &Constraints,
 ) -> Option<bool> {
-    if !archs.iter().any(is_headline_arch) {
+    if !archs.iter().any(ng_dse::ArchPoint::is_paper_organisation) {
         return None;
     }
-    let headline = frontier.iter().find(|a| is_headline_arch(a));
+    let headline = frontier.iter().find(|a| a.is_paper_organisation());
     match headline {
         Some(a) => println!(
             "\npaper check: NGPC-64 (hashgrid, 1 GHz, 1MB/8-bank, 64x64/16e) is on the frontier — \
@@ -382,13 +352,6 @@ fn headline_check(
         ),
     }
     Some(headline.is_some())
-}
-
-/// The headline predicate shared by sweep and search checks — see
-/// [`ng_dse::ArchPoint::is_paper_organisation`] for what it matches
-/// (and why the lane/FIFO axes are deliberately left free).
-fn is_headline_arch(a: &ng_dse::ArchPoint) -> bool {
-    a.is_paper_organisation()
 }
 
 /// Mark a job manifest interrupted (progress snapshot included), save
@@ -422,166 +385,6 @@ fn finish_job_done(job: &mut Option<ng_dse::job::JobManifest>, delivered: usize)
             eprintln!("dse: could not update job manifest {} ({e})", j.id);
         }
     }
-}
-
-/// Guided-search mode: run the searcher instead of the exhaustive
-/// sweep, and (under `--check-headline`) require the NGPC-64 headline
-/// point to be *recovered* — found and kept non-dominated — within the
-/// budget.
-fn run_search(
-    cli: &Cli,
-    strategy: ng_dse::SearchStrategy,
-    mut job: Option<ng_dse::job::JobManifest>,
-) -> Result<(), CliError> {
-    if cli.csv.is_some() || cli.json.is_some() {
-        return Err(usage_err(
-            "--csv/--json emit full sweep outcomes; rerun without --search".to_string(),
-        ));
-    }
-    if cli.per_app {
-        return Err(usage_err(
-            "--per-app reads a full sweep's per-app points; rerun without --search".to_string(),
-        ));
-    }
-    if cli.threads.is_some() {
-        return Err(usage_err(
-            "--threads: guided search is sequential by design (one memoized \
-             evaluation context); rerun without --search for the parallel sweep"
-                .to_string(),
-        ));
-    }
-    let mut searcher = ng_dse::Searcher::new();
-    if cli.no_cache {
-        searcher = searcher.without_cache();
-    } else if let Some(dir) = &cli.cache_dir {
-        searcher = searcher.with_cache_dir(dir);
-    }
-    let mut search = ng_dse::SearchSpec::for_space(&cli.spec);
-    search.strategy = strategy;
-    if let Some(budget) = cli.budget {
-        search.budget = budget;
-    }
-    if let Some(seed) = cli.seed {
-        search.seed = seed;
-    }
-    let outcome = searcher
-        .run_draining(&cli.spec, &search, ng_dse::cancel::cancelled)
-        .map_err(|e| e.to_string())?;
-    if outcome.stats.interrupted {
-        let delivered = outcome.stats.cache_hits + outcome.stats.evaluations;
-        return Err(interrupted_err(finish_job_interrupted(
-            &mut job,
-            delivered,
-            &format!(
-                "search drained after {} of {} budgeted evaluations; the flushed prefix \
-                 replays as warm hits",
-                outcome.stats.evaluations, outcome.stats.budget
-            ),
-        )));
-    }
-    finish_job_done(&mut job, outcome.stats.cache_hits + outcome.stats.evaluations);
-    {
-        let _span = ng_obs::span("report");
-        ng_dse::report::print_search_report(&outcome, &cli.constraints, cli.top);
-    }
-    if cli.cache_stats {
-        println!(
-            "cache stats: {} hits, {} evaluated{}",
-            outcome.stats.cache_hits,
-            outcome.stats.evaluations,
-            match &outcome.cache_path {
-                Some(p) => format!("; store: {}", p.display()),
-                None => "; cache disabled".to_string(),
-            },
-        );
-    }
-
-    if cli.map_search {
-        // The search reports an architecture-level frontier; rebuild
-        // one point per (frontier architecture, app) and annotate those
-        // — the mapping comparison for exactly the designs the search
-        // recommends.
-        let apps = &cli.spec.apps;
-        let points: Vec<ng_dse::DesignPoint> = outcome
-            .frontier
-            .iter()
-            .enumerate()
-            .flat_map(|(i, arch)| {
-                let arch = *arch;
-                apps.iter().enumerate().map(move |(j, &app)| ng_dse::DesignPoint {
-                    index: i * apps.len() + j,
-                    app,
-                    encoding: arch.encoding,
-                    pixels: arch.pixels,
-                    nfp_units: arch.nfp_units,
-                    clock_ghz: arch.clock_ghz,
-                    grid_sram_kb: arch.grid_sram_kb,
-                    grid_sram_banks: arch.grid_sram_banks,
-                    encoding_engines: arch.encoding_engines,
-                    mac_rows: arch.mac_rows,
-                    mac_cols: arch.mac_cols,
-                    lanes_per_engine: arch.lanes_per_engine,
-                    input_fifo_depth: arch.input_fifo_depth,
-                })
-            })
-            .collect();
-        let evaluated = ng_dse::sweep::evaluate_points(&points, 1);
-        let annotated = ng_dse::annotate(&evaluated);
-        println!("{}", annotated.headline());
-        if cli.check_map_agreement && annotated.max_disagreement() > ng_dse::AGREEMENT_BAND {
-            return Err(check_err(format!(
-                "--check-map-agreement: timeloop-vs-ngpc max disagreement {:.2}% exceeds \
-                 the {:.0}% cross-validation band",
-                annotated.max_disagreement() * 100.0,
-                ng_dse::AGREEMENT_BAND * 100.0
-            )));
-        }
-    }
-
-    if cli.check_headline || cli.spec.name == "guided-lanes" {
-        let headline = outcome
-            .frontier
-            .iter()
-            .filter(|a| cli.constraints.admits(&a.objectives()))
-            .find(|a| is_headline_arch(a));
-        match headline {
-            Some(a) => println!(
-                "\npaper check: guided search recovered the NGPC-64 organisation (hashgrid, \
-                 1 GHz, 1MB/8-bank, 64x64/16e; FIFO right-sized to {} entries, {} lane(s)) \
-                 with {} of {} evaluations ({:.2}% of the space) — {:.2}x avg, {:.2}% area, \
-                 {:.2}% power",
-                a.input_fifo_depth,
-                a.lanes_per_engine,
-                outcome.stats.evaluations,
-                outcome.stats.space_points,
-                100.0 * outcome.stats.budget_fraction_used(),
-                a.avg_speedup,
-                a.area_pct_of_gpu,
-                a.power_pct_of_gpu
-            ),
-            None => println!(
-                "\npaper check: guided search did NOT recover the NGPC-64 headline point \
-                 (budget {}, {} evaluations)",
-                outcome.stats.budget, outcome.stats.evaluations
-            ),
-        }
-        if cli.check_headline {
-            if headline.is_none() {
-                return Err("--check-headline: guided search failed to recover the paper's \
-                            NGPC-64 point within its budget"
-                    .to_string()
-                    .into());
-            }
-            if outcome.stats.evaluations > outcome.stats.budget {
-                return Err(format!(
-                    "--check-headline: search overspent its budget ({} > {})",
-                    outcome.stats.evaluations, outcome.stats.budget
-                )
-                .into());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// `dse trace LEDGER.jsonl`: summarize a recorded run ledger — the
@@ -787,15 +590,6 @@ fn run_resume(args: &[String]) -> Result<(), CliError> {
     let spec = manifest
         .spec()
         .map_err(|e| CliError::from(format!("resume: manifest {}: {e}", manifest.id)))?;
-    let search = match manifest.search_strategy.as_deref() {
-        Some(s) => Some(ng_dse::SearchStrategy::parse(s).ok_or_else(|| {
-            CliError::from(format!(
-                "resume: manifest {}: unknown search strategy `{s}`",
-                manifest.id
-            ))
-        })?),
-        None => None,
-    };
     eprintln!(
         "dse: resuming {} ({} mode; {} of {} points were delivered before the interrupt)",
         manifest.id,
@@ -822,9 +616,6 @@ fn run_resume(args: &[String]) -> Result<(), CliError> {
         check_headline: false,
         map_search: manifest.map_search,
         check_map_agreement: false,
-        search,
-        budget: manifest.budget,
-        seed: manifest.seed,
         trace: None,
         faults: None,
         metrics: false,
@@ -924,15 +715,10 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
                 m
             }
             None => {
-                let mode = if cli.search.is_some() {
-                    ng_dse::job::JobMode::Search
-                } else {
-                    ng_dse::job::JobMode::Sweep
-                };
                 let cache_dir =
                     cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
                 let mut m = ng_dse::job::JobManifest::new(
-                    mode,
+                    ng_dse::job::JobMode::Sweep,
                     &cli.spec,
                     &cache_dir,
                     cli.spec.point_count(),
@@ -940,9 +726,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
                 m.threads = cli.threads;
                 m.csv = cli.csv.clone();
                 m.json_out = cli.json.clone();
-                m.search_strategy = cli.search.map(|s| s.slug().to_string());
-                m.budget = cli.budget;
-                m.seed = cli.seed;
                 m.map_search = cli.map_search;
                 m.max_area = cli.constraints.max_area_pct;
                 m.max_power = cli.constraints.max_power_pct;
@@ -961,10 +744,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
             }
         }
     };
-
-    if let Some(strategy) = cli.search {
-        return run_search(cli, strategy, job);
-    }
 
     let mut engine = SweepEngine::new().with_quiet(cli.quiet);
     if let Some(threads) = cli.threads {

@@ -35,13 +35,12 @@
 //! fails with a *persistent* capacity error (ENOSPC, EROFS, quota,
 //! permissions — see [`ng_fault::is_exhaustion`]) diverts its rows to
 //! a per-process in-memory overlay instead of failing the run: this
-//! process keeps hitting those points ([`EvalCache::lookup`] and
-//! [`EvalCache::load_all`] consult the overlay after the disk
-//! shards), one stderr warning names the condition, and the
-//! `store.degraded_appends` counter records every diverted row. The
-//! results are lost when the process exits — the next run simply
-//! re-evaluates them — which is strictly better than failing a run
-//! that already computed its results.
+//! process keeps hitting those points ([`EvalCache::lookup`] consults
+//! the overlay after the disk shards), one stderr warning names the
+//! condition, and the `store.degraded_appends` counter records every
+//! diverted row. The results are lost when the process exits — the
+//! next run simply re-evaluates them — which is strictly better than
+//! failing a run that already computed its results.
 
 use std::collections::HashMap;
 use std::fs;
@@ -78,17 +77,6 @@ fn overlay_insert(store_dir: &Path, rows: &[(u64, EvaluatedPoint)]) {
     for (key, point) in rows {
         map.insert((store_dir.to_path_buf(), *key), *point);
     }
-}
-
-fn overlay_rows(store_dir: &Path) -> Vec<(u64, EvaluatedPoint)> {
-    let Some(map) = DEGRADED_OVERLAY.get() else {
-        return Vec::new();
-    };
-    let map = map.lock().unwrap();
-    map.iter()
-        .filter(|((dir, _), _)| dir == store_dir)
-        .map(|((_, key), point)| (*key, *point))
-        .collect()
 }
 
 /// Parse one shard file's text into `(key, point)` rows in file order
@@ -407,21 +395,6 @@ impl EvalCache {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-
-    /// Load every shard of the current generation into one in-memory
-    /// map — the bulk entry point for guided search, which probes
-    /// points one at a time and must not re-read shard files per probe
-    /// the way per-sweep [`EvalCache::lookup`] may.
-    pub fn load_all(&self) -> HashMap<u64, EvaluatedPoint> {
-        let mut out = HashMap::new();
-        for shard in 0..SHARD_COUNT {
-            out.extend(self.load_shard(shard));
-        }
-        // Rows diverted by storage exhaustion are real results too —
-        // guided search must see them like any persisted row.
-        out.extend(overlay_rows(&self.store_dir()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -658,9 +631,6 @@ mod tests {
             outcome.points,
             "overlay hits are bit-identical warm hits"
         );
-        // The bulk loader guided search uses sees them too.
-        let all = cache.load_all();
-        assert!(rows.iter().all(|(key, p)| all.get(key) == Some(p)));
         // A different store root shares the process but not the rows.
         let other = EvalCache::new(tmpdir("degraded-other"));
         assert!(

@@ -1,11 +1,11 @@
 //! Graceful shutdown: a signal watcher and a global cancellation token.
 //!
 //! The first `SIGINT`/`SIGTERM` sets the process-wide cancellation
-//! token — the evaluation pool stops dispatching new points and the
-//! searcher stops its rounds — and every layer flushes what it already computed to the point store before exiting
-//! with [`EXIT_INTERRUPTED`]. A second signal skips the drain and
-//! hard-exits immediately with [`EXIT_KILLED`]: the store's appends are
-//! crash-safe (locked, tail-healed), so even the hard exit loses at
+//! token — the evaluation pool stops dispatching new points — and the
+//! sweep flushes what it already computed to the point store before
+//! exiting with [`EXIT_INTERRUPTED`]. A second signal skips the drain
+//! and hard-exits immediately with [`EXIT_KILLED`]: the store's appends
+//! are crash-safe (locked, tail-healed), so even the hard exit loses at
 //! most the rows not yet appended.
 //!
 //! Dependency-free: the handler is installed through the C runtime's

@@ -1,23 +1,20 @@
 //! Durable job manifests: the crash-safe record `dse resume` reads.
 //!
-//! Every cache-enabled sweep or search run writes a
-//! `job-*.json` manifest into `<cache_dir>/jobs/` before evaluating
-//! (tmp + rename, the store's publish discipline) and rewrites it when
-//! the run ends — `done` on success, `interrupted` after a graceful
+//! Every cache-enabled sweep writes a `job-*.json` manifest into
+//! `<cache_dir>/jobs/` before evaluating (tmp + rename, the store's
+//! publish discipline) and rewrites it when the run ends — `done` on success, `interrupted` after a graceful
 //! drain. The manifest carries everything a resume needs to re-enter
 //! the *exact* run: the resolved spec as TOML (a byte-exact
 //! round-trip), the model fingerprint the results were computed under,
-//! the run mode and its flags (threads, output paths, constraints, search
-//! strategy/budget/seed), and a progress snapshot.
+//! the run mode and its flags (threads, output paths, constraints,
+//! `--map-search`), and a progress snapshot.
 //!
 //! Resume needs no partial-result file of its own: the point store
 //! already holds every flushed point, so re-entering the run replays
-//! the prefix as warm hits and pays only the missing tail. A resumed
-//! search replays the same seeded trajectory — the prefix evaluations
-//! are hits, the tail is fresh — so the outcome is byte-identical to
-//! an uninterrupted run. A manifest whose fingerprint no longer
-//! matches the current models is refused: resuming it would silently
-//! mix generations.
+//! the prefix as warm hits and pays only the missing tail, so the
+//! outcome is byte-identical to an uninterrupted run. A manifest whose
+//! fingerprint no longer matches the current models is refused:
+//! resuming it would silently mix generations.
 //!
 //! The format is the crate's usual hand-rolled flat JSON (one object,
 //! string and number values) — parseable by eye in a crash dump and
@@ -34,8 +31,6 @@ use crate::spec::{SpecError, SweepSpec};
 pub enum JobMode {
     /// Single-process exhaustive sweep.
     Sweep,
-    /// Guided search (`--search`).
-    Search,
 }
 
 impl JobMode {
@@ -43,7 +38,6 @@ impl JobMode {
     pub fn as_str(self) -> &'static str {
         match self {
             JobMode::Sweep => "sweep",
-            JobMode::Search => "search",
         }
     }
 
@@ -51,7 +45,6 @@ impl JobMode {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "sweep" => Some(JobMode::Sweep),
-            "search" => Some(JobMode::Search),
             _ => None,
         }
     }
@@ -115,7 +108,7 @@ pub struct JobManifest {
     pub spec_toml: String,
     /// The store this job reads and writes.
     pub cache_dir: String,
-    /// Points in the spec (search: evaluation budget).
+    /// Points in the spec.
     pub total_points: usize,
     /// Points known flushed when the manifest was last written. A
     /// progress note for humans and `dse resume`'s report — the store
@@ -127,13 +120,6 @@ pub struct JobManifest {
     pub csv: Option<String>,
     /// `--json` output path.
     pub json_out: Option<String>,
-    /// `--search` strategy (`hill`/`evolve`), for [`JobMode::Search`].
-    pub search_strategy: Option<String>,
-    /// `--budget`, for [`JobMode::Search`].
-    pub budget: Option<usize>,
-    /// `--seed` — the whole reason a drained search can resume
-    /// byte-identically.
-    pub seed: Option<u64>,
     /// `--max-area` constraint.
     pub max_area: Option<f64>,
     /// `--max-power` constraint.
@@ -175,9 +161,6 @@ impl JobManifest {
             threads: None,
             csv: None,
             json_out: None,
-            search_strategy: None,
-            budget: None,
-            seed: None,
             max_area: None,
             max_power: None,
             min_speedup: None,
@@ -239,15 +222,6 @@ impl JobManifest {
         }
         if let Some(v) = &self.json_out {
             fields.push(format!("\"json_out\":{}", crate::emit::JsonStr(v)));
-        }
-        if let Some(v) = &self.search_strategy {
-            fields.push(format!("\"search_strategy\":{}", crate::emit::JsonStr(v)));
-        }
-        if let Some(v) = self.budget {
-            fields.push(format!("\"budget\":{v}"));
-        }
-        if let Some(v) = self.seed {
-            fields.push(format!("\"seed\":{v}"));
         }
         if let Some(v) = self.max_area {
             fields.push(format!("\"max_area\":{v}"));
@@ -313,9 +287,6 @@ impl JobManifest {
             threads: int_field("threads").map(|n| n as usize),
             csv: str_field("csv").map(str::to_string),
             json_out: str_field("json_out").map(str::to_string),
-            search_strategy: str_field("search_strategy").map(str::to_string),
-            budget: int_field("budget").map(|n| n as usize),
-            seed: int_field("seed"),
             max_area: num_field("max_area"),
             max_power: num_field("max_power"),
             min_speedup: num_field("min_speedup"),
@@ -483,7 +454,7 @@ mod tests {
             // Constructed directly rather than via `new()` so the test
             // does not pay the model-fingerprint probe sweep.
             id: "job-1700000000000000-42".to_string(),
-            mode: JobMode::Search,
+            mode: JobMode::Sweep,
             status: JobStatus::Interrupted,
             created_us: 1_700_000_000_000_000,
             model_version: crate::MODEL_VERSION.to_string(),
@@ -498,9 +469,6 @@ mod tests {
             threads: Some(4),
             csv: Some("out dir/points.csv".to_string()),
             json_out: None,
-            search_strategy: None,
-            budget: None,
-            seed: Some(9),
             max_area: Some(3.5),
             max_power: None,
             min_speedup: None,
@@ -557,5 +525,10 @@ mod tests {
         assert!(JobManifest::from_json("{\"id\":\"job-1\",\"mode\":\"sw").is_err());
         assert!(JobManifest::from_json("").is_err());
         assert!(JobManifest::from_json("{}").is_err(), "missing required fields");
+        // A well-formed manifest left behind by a guided-search job (a
+        // mode this binary no longer has) is refused by name.
+        let search = sample().to_json().replace("\"mode\":\"sweep\"", "\"mode\":\"search\"");
+        let err = JobManifest::from_json(&search).unwrap_err();
+        assert!(err.contains("unknown mode `search`"), "{err}");
     }
 }

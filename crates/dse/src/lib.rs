@@ -58,14 +58,12 @@ pub mod obs_counters;
 pub mod pareto;
 pub mod pool;
 pub mod report;
-pub mod search;
 pub mod spec;
 pub mod sweep;
 
 pub use cache::EvalCache;
 pub use mapsearch::{annotate, MapMetrics, MapSearchOutcome, AGREEMENT_BAND, MAP_SEARCH_BATCH};
 pub use pareto::{pareto_indices, Constraints, Objectives, StreamingFrontier};
-pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
 pub use sweep::{
     ArchPoint, DrainedSweep, EvaluatedPoint, SweepEngine, SweepOutcome, SweepRun, SweepStats,
@@ -88,12 +86,13 @@ pub const MODEL_VERSION: &str = "ngpc-models-v4";
 /// counts x 2 lane counts x 2 FIFO depths), so drift in the
 /// compositional timing model — which is invisible at the paper's NFP
 /// by construction — still invalidates cached sweep results, including
-/// drift that only shows on the lane/FIFO axes the guided searcher
-/// explores.
+/// drift that only shows on the lane/FIFO axes the `guided-lanes`
+/// preset sweeps.
 /// Folded into every point-cache key next to [`MODEL_VERSION`]; the
 /// pinned value in `tests/model_fingerprint.rs` turns silent drift into
 /// a test failure with bump instructions. Computed once per process:
-/// 128 evaluations plus the GPU model's in-process calibration
+/// 512 evaluations (the quick preset's 16 points, doubled along 5
+/// axes) plus the GPU model's in-process calibration
 /// (~0.02 ms) — microseconds in all.
 pub fn model_fingerprint() -> u64 {
     static FINGERPRINT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();

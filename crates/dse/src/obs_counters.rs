@@ -93,22 +93,6 @@ hoisted!(
     pool_steals => "pool.steals"
 );
 hoisted!(
-    /// Hill-climb proposals that improved the incumbent.
-    search_hill_accepted => "search.hill.accepted"
-);
-hoisted!(
-    /// Hill-climb proposals evaluated but not improving.
-    search_hill_rejected => "search.hill.rejected"
-);
-hoisted!(
-    /// Evolutionary offspring that entered the Pareto archive.
-    search_evo_accepted => "search.evo.accepted"
-);
-hoisted!(
-    /// Evolutionary offspring evaluated but dominated.
-    search_evo_rejected => "search.evo.rejected"
-);
-hoisted!(
     /// Per-layer mapping searches actually run by `--map-search`
     /// (in-run memo misses; each one enumerates the full mapspace).
     mapsearch_evals => "mapsearch.evals"

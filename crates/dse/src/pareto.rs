@@ -108,11 +108,11 @@ pub fn constrained_pareto(objectives: &[Objectives], constraints: &Constraints) 
 /// (dominated candidates are rejected, newly dominated members are
 /// evicted in the same pass), so a full pass over `n` points costs
 /// `O(n·f)` with `f` the running frontier size — replacing the
-/// collect-everything-then-filter [`constrained_pareto`] pass and, more
-/// importantly, letting a guided searcher keep its archive current
-/// without ever materialising the visited set's objectives. Exact ties
-/// on all three objectives are all kept (equal points do not dominate
-/// each other), matching the batch extractor.
+/// collect-everything-then-filter [`constrained_pareto`] pass: the
+/// sweep's cross-app frontier never materialises an objectives vector
+/// for the whole space (65,610 architectures on `guided-lanes`).
+/// Exact ties on all three objectives are all kept (equal points do
+/// not dominate each other), matching the batch extractor.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingFrontier<T> {
     entries: Vec<(Objectives, T)>,
@@ -128,7 +128,7 @@ impl<T> StreamingFrontier<T> {
     /// (i.e. no current member dominates it); members it dominates are
     /// evicted. Accepted offers count into `frontier.inserts`, each
     /// eviction into `frontier.prunes` — the churn pair that tells a
-    /// trace reader whether a search kept improving or went flat.
+    /// trace reader how much the frontier reshuffled during the sweep.
     pub fn insert(&mut self, objectives: Objectives, payload: T) -> bool {
         if self.entries.iter().any(|(o, _)| o.dominates(&objectives)) {
             return false;
@@ -167,11 +167,6 @@ impl<T> StreamingFrontier<T> {
     /// Whether `objectives` is dominated by a current member.
     pub fn dominated(&self, objectives: &Objectives) -> bool {
         self.entries.iter().any(|(o, _)| o.dominates(objectives))
-    }
-
-    /// Iterate the frontier in insertion order (survivors only).
-    pub fn iter(&self) -> impl Iterator<Item = &(Objectives, T)> {
-        self.entries.iter()
     }
 
     /// Consume the frontier, yielding the surviving payloads in

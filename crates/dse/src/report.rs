@@ -172,39 +172,6 @@ pub fn shard_stats_report(
     )
 }
 
-/// The terminal report of a guided search: space/budget summary and the
-/// recovered frontier (filtered through `constraints`).
-pub fn print_search_report(
-    outcome: &crate::search::SearchOutcome,
-    constraints: &Constraints,
-    top: usize,
-) {
-    let stats = &outcome.stats;
-    println!(
-        "guided search `{}` ({}): {} of {} points evaluated ({:.2}% of the space, budget {}){}",
-        outcome.spec.name,
-        outcome.search.strategy.slug(),
-        stats.evaluations,
-        stats.space_points,
-        100.0 * stats.budget_fraction_used(),
-        stats.budget,
-        if stats.exhaustive { " — budget covers the space: exhaustive scan" } else { "" },
-    );
-    println!(
-        "visited {} of {} architectures in {} round(s), {:.1} ms ({} cache hits)",
-        stats.archs_visited,
-        stats.space_archs,
-        stats.rounds,
-        stats.wall.as_secs_f64() * 1e3,
-        stats.cache_hits,
-    );
-    println!("constraints: {}", describe_constraints(constraints));
-    let shown: Vec<ArchPoint> =
-        outcome.frontier.iter().filter(|a| constraints.admits(&a.objectives())).copied().collect();
-    println!("\nrecovered cross-app Pareto frontier ({} architectures):", shown.len());
-    print!("{}", frontier_table(&shown, top));
-}
-
 /// Describe configured constraints, or "none".
 pub fn describe_constraints(c: &Constraints) -> String {
     if !c.is_constrained() {

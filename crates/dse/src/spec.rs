@@ -270,14 +270,13 @@ impl SweepSpec {
         }
     }
 
-    /// The exploded 11-arch-axis space behind the guided searcher: the
-    /// paper preset's axes crossed with the NFP-microarchitecture axes
-    /// *and* the query-lane / input-FIFO axes — ~260k points, ~180x the
-    /// paper preset and far past what an interactive exhaustive sweep
-    /// wants to pay.
+    /// The exploded 11-arch-axis `guided-lanes` space: the paper
+    /// preset's axes crossed with the NFP-microarchitecture axes *and*
+    /// the query-lane / input-FIFO axes — ~260k points, ~180x the paper
+    /// preset and the largest space the sweep covers exhaustively.
     ///
-    /// Two axis choices keep the paper's NGPC-64 *organisation*
-    /// recoverable from the exploded frontier (the CI win condition):
+    /// Two axis choices keep the paper's NGPC-64 *organisation* on the
+    /// exploded frontier (the CI `--check-headline` guard):
     /// the FIFO axis samples below the overlap knee (2, 8) plus the
     /// paper's 64 — depths in `[16, 64)` match the paper's full stage
     /// overlap at strictly less FIFO area everywhere and would evict

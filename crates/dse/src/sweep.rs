@@ -102,9 +102,9 @@ impl ArchPoint {
     /// and the frontier right-sizes the FIFO below the overlap knee.
     /// In the paper and mac-arrays presets those axes are pinned at
     /// the paper's 1 lane / 64 entries, so the match is exact there.
-    /// Shared by every headline regression guard (`dse
-    /// --check-headline` in both sweep and search modes, and
-    /// `bench_dse --check-warm`) so the guards cannot drift apart.
+    /// The predicate behind `dse --check-headline` on every preset, so
+    /// the paper, mac-arrays and guided-lanes guards cannot drift
+    /// apart.
     pub fn is_paper_organisation(&self) -> bool {
         self.encoding == EncodingKind::MultiResHashGrid
             && self.pixels == crate::spec::FHD_PIXELS

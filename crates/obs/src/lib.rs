@@ -1,8 +1,8 @@
 //! # ng-obs — structured observability for the DSE pipeline
 //!
-//! The pipeline behind `dse` spans sweep → point cache → guided
-//! search; this crate is the one place all of it
-//! reports *how* a run went, not just what it produced. It is
+//! The pipeline behind `dse` spans sweep → point cache → frontier →
+//! report; this crate is the one place all of it reports *how* a run
+//! went, not just what it produced. It is
 //! deliberately dependency-free (not even the vendored workspace
 //! stubs): instrumentation must never constrain who can link it.
 //!

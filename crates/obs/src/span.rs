@@ -14,12 +14,12 @@
 //! close, so the ledger can rebuild the same profile offline, check
 //! that spans balance, and export a Chrome trace.
 //!
-//! Spans are for *stages* — a sweep's lookup/evaluate/append phases, a
-//! search's drive loop — never per-point work; the per-call cost (two
-//! `Instant::now`s and a short mutex section at close, plus two locked
-//! file appends when recording) is trivial at stage granularity and
-//! ruinous at point granularity. Per-point visibility is what
-//! [`crate::counter`] is for.
+//! Spans are for *stages* — a sweep's lookup/evaluate/append phases,
+//! its cross-app fold and frontier — never per-point work; the
+//! per-call cost (two `Instant::now`s and a short mutex section at
+//! close, plus two locked file appends when recording) is trivial at
+//! stage granularity and ruinous at point granularity. Per-point
+//! visibility is what [`crate::counter`] is for.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

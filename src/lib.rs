@@ -44,7 +44,7 @@ pub use ngpc;
 
 /// The most commonly used items across the workspace.
 pub mod prelude {
-    pub use ng_dse::{Constraints, SearchSpec, Searcher, SweepEngine, SweepSpec};
+    pub use ng_dse::{Constraints, SweepEngine, SweepSpec};
     pub use ng_gpu::{frame_time_ms, kernel_breakdown, rtx3090};
     pub use ng_neural::apps::{AppKind, EncodingKind};
     pub use ng_neural::math::Vec3;
