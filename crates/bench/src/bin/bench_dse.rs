@@ -17,10 +17,7 @@
 //! cold_points_per_sec}`) so future PRs have a perf trajectory to
 //! compare against — covering both the flagship paper sweep and the
 //! MAC-array / engine-count space the compositional timing model
-//! opened — plus a `map_search` entry for the joint mapping search:
-//! one annotate pass that searches every distinct `(MAC array, layer
-//! shape)` problem once (`{preset, wall_s, searches, memo_hits,
-//! max_disagreement}`).
+//! opened.
 //!
 //! Since the observability PR each preset entry also carries the
 //! `ng-obs` counter deltas of its cold run (`counters_cold`) and the
@@ -128,38 +125,6 @@ fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
     }
 }
 
-/// One joint mapping-search pass over a preset's evaluated points:
-/// each distinct `(MAC array, layer shape)` problem is searched once,
-/// every repeat is served from the in-run memo.
-struct MapSearchBench {
-    preset: String,
-    wall_s: f64,
-    searches: u64,
-    memo_hits: u64,
-    max_disagreement: f64,
-}
-
-fn bench_map_search(spec: &SweepSpec) -> MapSearchBench {
-    let outcome = SweepEngine::new().without_cache().run(spec).expect("preset specs validate");
-    let started = Instant::now();
-    let annotated = ng_dse::annotate(&outcome.points);
-    let wall_s = started.elapsed().as_secs_f64();
-    println!("[{} --map-search]", spec.name);
-    println!(
-        "annotate:    {:8.1} ms  ({} search(es), {} memo hit(s))",
-        wall_s * 1e3,
-        annotated.evals,
-        annotated.memo_hits
-    );
-    MapSearchBench {
-        preset: spec.name.clone(),
-        wall_s,
-        searches: annotated.evals,
-        memo_hits: annotated.memo_hits,
-        max_disagreement: annotated.max_disagreement(),
-    }
-}
-
 /// The `cold_points_per_sec` recorded for `preset` in the committed
 /// trajectory file, extracted with a string scan (the file is written
 /// by this binary, so the shape is known; no JSON dependency needed).
@@ -247,10 +212,6 @@ fn main() -> ExitCode {
     });
 
     let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &scratch)).collect();
-    // The joint mapping search is benched on the run's first preset
-    // (it is cheap: one search per distinct MAC-array/layer problem,
-    // not per point).
-    let map_search = bench_map_search(&specs[0]);
 
     let entries: Vec<String> = benches
         .iter()
@@ -276,15 +237,6 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    let map_search_json = format!(
-        ",\n  \"map_search\": {{\n    \"preset\": \"{}\",\n    \"wall_s\": {},\n    \
-         \"searches\": {},\n    \"memo_hits\": {},\n    \"max_disagreement\": {}\n  }}",
-        map_search.preset,
-        map_search.wall_s,
-        map_search.searches,
-        map_search.memo_hits,
-        map_search.max_disagreement,
-    );
     // Where this process's wall time went, per span path — the same
     // stage breakdown `dse trace` reconstructs from a ledger, taken
     // from the in-process profile registry.
@@ -315,9 +267,8 @@ fn main() -> ExitCode {
         ng_dse::obs_counters::jobs_resumed().get(),
     );
     let json = format!(
-        "{{\n  \"presets\": [\n{}\n  ]{}{}{}\n}}\n",
+        "{{\n  \"presets\": [\n{}\n  ]{}{}\n}}\n",
         entries.join(",\n"),
-        map_search_json,
         robustness_json,
         stage_json
     );

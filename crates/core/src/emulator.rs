@@ -54,11 +54,12 @@
 //! datapath choices.
 
 use ng_neural::apps::{table1, AppKind, EncodingKind};
+use ng_neural::mlp::MlpConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::config::NfpConfig;
 use crate::kernels::REST_FUSION_SPEEDUP;
-use crate::mapping::{mlp_cycles, FixedTiling, LayerMapping};
+use crate::timing::layer_tile_cycles;
 
 /// Calibrated per-(application, encoding) residual of the compositional
 /// timing model: the end-to-end speedup per NFP *at the paper's NFP*
@@ -169,61 +170,44 @@ const FULL_OVERLAP_FIFO_DEPTH: f64 = 16.0;
 ///   rounds. (The grid-SRAM pressure of multiplexed level tables is
 ///   charged by `sram_capacity_factor`, not here.) Extra query lanes
 ///   multiply issue width.
-/// * **MLP stage** — [`mlp_query_cycles`] over the app's MLP (both of
-///   NeRF's, which share the array).
+/// * **MLP stage** — [`layer_tile_cycles`] summed over the app's MLP
+///   layer matrices (both of NeRF's MLPs, which share the array).
 /// * **Fusion** — with a deep enough FIFO the stages overlap and the
 ///   pipeline runs at the slower stage's rate; shallow FIFOs slide
 ///   toward the serial sum.
 pub fn per_sample_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    per_sample_cycles_with(app, encoding, nfp, &FixedTiling)
-}
-
-/// [`per_sample_cycles`] under an explicit [`LayerMapping`]: only the
-/// MLP stage's per-query cycles change — the encoding fold and the
-/// fusion-FIFO overlap are mapping-independent. With [`FixedTiling`]
-/// this is bit-identical to [`per_sample_cycles`] (same expressions in
-/// the same order).
-pub fn per_sample_cycles_with(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
     let levels = encoding_levels(encoding);
     let engines = nfp.encoding_engines.max(1);
     let rounds = levels.div_ceil(engines);
     let parallel = (engines / levels).max(1) * nfp.lanes_per_engine.max(1);
     let enc = rounds as f64 / parallel as f64;
 
-    let mlp = mlp_query_cycles(app, encoding, nfp, mapping);
+    let mlp = mlp_query_cycles(app, encoding, nfp);
 
     let overlap = (nfp.input_fifo_depth as f64 / FULL_OVERLAP_FIFO_DEPTH).min(1.0);
     enc.max(mlp) + enc.min(mlp) * (1.0 - overlap)
 }
 
-/// Per-query MAC-array cycles of one workload's full MLP stack (the
-/// app's MLP plus NeRF's color MLP, which share the array) under a
-/// mapping — the quantity an external mapping search optimises and the
-/// denominator of the fixed-vs-searched comparison `dse --map-search`
-/// reports.
-pub fn mlp_query_cycles(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
+/// Per-query MAC-array cycles of one workload's full MLP stack: the
+/// app's MLP plus NeRF's color MLP, which share the array.
+fn mlp_query_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
     let params = table1(app, encoding);
-    let mut mlp = mlp_cycles(&params.mlp, nfp, mapping);
-    if let Some(color) = &params.color_mlp {
-        mlp += mlp_cycles(color, nfp, mapping);
-    }
-    mlp
+    let tiles = |mlp: &MlpConfig| -> u64 {
+        (0..mlp.n_matrices())
+            .map(|m| {
+                let (rows, cols) = mlp.matrix_shape(m);
+                layer_tile_cycles(rows, cols, nfp)
+            })
+            .sum()
+    };
+    (tiles(&params.mlp) + params.color_mlp.as_ref().map_or(0, tiles)) as f64
 }
 
 /// The `(rows, cols)` weight-matrix shapes of one workload's MLP stack,
-/// in evaluation order — the per-layer problems an external mapper
-/// searches. Shapes can repeat (hidden layers share one shape); the
-/// list is exactly the matrices [`mlp_query_cycles`] sums over.
+/// in evaluation order — the per-layer problems `ng-timeloop` maps in
+/// the Fig. 13 cross-check. Shapes can repeat (hidden layers share one
+/// shape); the list is exactly the matrices [`per_sample_cycles`]
+/// charges for the MLP stage.
 pub fn mlp_layer_shapes(app: AppKind, encoding: EncodingKind) -> Vec<(usize, usize)> {
     let params = table1(app, encoding);
     let mut shapes: Vec<(usize, usize)> =
@@ -242,21 +226,6 @@ pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) 
     per_sample_cycles(app, encoding, &NfpConfig::default()) / per_sample_cycles(app, encoding, nfp)
 }
 
-/// [`mac_engine_factor`] under an explicit mapping for the evaluated
-/// configuration. The numerator stays the paper NFP under the *fixed*
-/// tiling — the calibrated residuals absorb the paper's measured
-/// behaviour under its own dataflow, so a searched mapping is credited
-/// exactly for the cycles it saves relative to that baseline.
-pub fn mac_engine_factor_with(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
-    per_sample_cycles(app, encoding, &NfpConfig::default())
-        / per_sample_cycles_with(app, encoding, nfp, mapping)
-}
-
 /// The end-to-end NFP throughput slope for one configuration: the
 /// calibrated per-(app, encoding) residual, scaled by clock, by the
 /// SRAM capacity/banking factors, and by the compositional MAC-array /
@@ -267,16 +236,6 @@ fn effective_slope(input: &EmulatorInput) -> f64 {
         * sram_capacity_factor(&input.nfp, input.encoding)
         * bank_conflict_factor(&input.nfp, input.app)
         * mac_engine_factor(input.app, input.encoding, &input.nfp)
-}
-
-/// [`effective_slope`] with the MLP stage evaluated under an explicit
-/// mapping instead of the fixed tiling.
-fn effective_slope_with(input: &EmulatorInput, mapping: &dyn LayerMapping) -> f64 {
-    calibrated_residual(input.app, input.encoding)
-        * input.nfp.clock_ghz
-        * sram_capacity_factor(&input.nfp, input.encoding)
-        * bank_conflict_factor(&input.nfp, input.app)
-        * mac_engine_factor_with(input.app, input.encoding, &input.nfp, mapping)
 }
 
 /// Emulator inputs (the four arrows into the paper's Fig. 11 box).
@@ -488,20 +447,6 @@ pub fn emulate(input: &EmulatorInput) -> EmulationResult {
     compose(input, effective_slope(input), &breakdown, &hw)
 }
 
-/// [`emulate`] with the MLP stage scheduled by an explicit
-/// [`LayerMapping`] — the entry point `dse --map-search` feeds a
-/// searched per-layer tiling back through. Under
-/// [`crate::mapping::FixedTiling`] this is bit-identical to
-/// [`emulate`]; a mapping that retires queries in fewer cycles raises
-/// the slope (and the unplateaued speedup) through the same
-/// compositional factors.
-pub fn emulate_with_mapping(input: &EmulatorInput, mapping: &dyn LayerMapping) -> EmulationResult {
-    let breakdown = ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels);
-    let hw =
-        ng_hw::ngpc_area_power_vs(&input.nfp.floorplan(), input.nfp_units, ng_hw::gpu_ref::RTX3090);
-    compose(input, effective_slope_with(input, mapping), &breakdown, &hw)
-}
-
 /// The NFP-architecture axes an [`NfpConfig`]'s derived quantities
 /// (floorplan, slope factors) depend on — hashable, so the context can
 /// key its memo tables on it.
@@ -563,25 +508,6 @@ impl EmulationContext {
             .entry((input.app, input.encoding, key))
             .or_insert_with(|| effective_slope(input));
         compose(input, g, &breakdown, &hw)
-    }
-
-    /// [`EmulationContext::eval`] under an explicit [`LayerMapping`].
-    /// Reuses the context's kernel-breakdown and area/power memos (both
-    /// mapping-independent) but recomputes the slope each call — the
-    /// mapping is caller state the context cannot key on.
-    pub fn eval_with_mapping(
-        &mut self,
-        input: &EmulatorInput,
-        mapping: &dyn LayerMapping,
-    ) -> EmulationResult {
-        let breakdown = *self
-            .breakdowns
-            .entry((input.app, input.encoding, input.pixels))
-            .or_insert_with(|| ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels));
-        let key = nfp_key(&input.nfp);
-        let floorplan = *self.floorplans.entry(key).or_insert_with(|| input.nfp.floorplan());
-        let hw = self.hw.lookup(&floorplan, input.nfp_units, ng_hw::gpu_ref::RTX3090);
-        compose(input, effective_slope_with(input, mapping), &breakdown, &hw)
     }
 }
 
@@ -964,55 +890,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_tiling_mapping_is_bit_identical_to_emulate() {
-        // The ISSUE-10 contract: routing the timing stack through the
-        // pluggable mapping changes nothing under the default tiling.
-        let mut ctx = EmulationContext::new();
-        for app in AppKind::ALL {
-            for enc in EncodingKind::ALL {
-                for n in [8u32, 64] {
-                    let input =
-                        EmulatorInput { app, encoding: enc, nfp_units: n, ..Default::default() };
-                    let base = emulate(&input);
-                    assert_eq!(emulate_with_mapping(&input, &crate::mapping::FixedTiling), base);
-                    assert_eq!(ctx.eval_with_mapping(&input, &crate::mapping::FixedTiling), base);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn faster_mapping_raises_unplateaued_speedup() {
-        // A mapping that halves every layer's cycles must speed up an
-        // unplateaued point and never break the Amdahl bound.
-        struct Half;
-        impl crate::mapping::LayerMapping for Half {
-            fn layer_cycles(&self, rows: usize, cols: usize, nfp: &NfpConfig) -> f64 {
-                crate::mapping::FixedTiling.layer_cycles(rows, cols, nfp) / 2.0
-            }
-        }
-        let input = EmulatorInput {
-            app: AppKind::Nerf,
-            nfp_units: 8,
-            nfp: NfpConfig { mac_rows: 16, mac_cols: 16, ..NfpConfig::default() },
-            ..EmulatorInput::default()
-        };
-        let fixed = emulate(&input);
-        let mapped = emulate_with_mapping(&input, &Half);
-        assert!(mapped.speedup > fixed.speedup, "{} vs {}", mapped.speedup, fixed.speedup);
-        assert!(mapped.speedup <= mapped.amdahl_bound + 1e-9);
-    }
-
-    #[test]
     fn mlp_layer_shapes_match_the_cycle_sum() {
         for app in AppKind::ALL {
             for enc in EncodingKind::ALL {
                 let nfp = NfpConfig { mac_rows: 16, mac_cols: 32, ..NfpConfig::default() };
                 let from_shapes: f64 = mlp_layer_shapes(app, enc)
                     .into_iter()
-                    .map(|(r, c)| crate::mapping::FixedTiling.layer_cycles(r, c, &nfp))
+                    .map(|(r, c)| layer_tile_cycles(r, c, &nfp) as f64)
                     .sum();
-                let direct = mlp_query_cycles(app, enc, &nfp, &crate::mapping::FixedTiling);
+                let direct = mlp_query_cycles(app, enc, &nfp);
                 assert_eq!(from_shapes, direct, "{app}/{enc}");
             }
         }

@@ -7,6 +7,7 @@ use ng_neural::mlp::Mlp;
 
 use crate::config::NfpConfig;
 use crate::error::{NgpcError, Result};
+use crate::timing::layer_tile_cycles;
 
 /// Execution statistics of the MLP engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,8 +34,7 @@ struct StagedLayer {
 /// The 64x64 MAC array with staged weights.
 #[derive(Debug, Clone)]
 pub struct MlpEngine {
-    mac_rows: usize,
-    mac_cols: usize,
+    nfp: NfpConfig,
     layers: Vec<StagedLayer>,
     stats: MlpEngineStats,
 }
@@ -42,12 +42,7 @@ pub struct MlpEngine {
 impl MlpEngine {
     /// Create an engine from the NFP configuration.
     pub fn new(config: &NfpConfig) -> Self {
-        MlpEngine {
-            mac_rows: config.mac_rows as usize,
-            mac_cols: config.mac_cols as usize,
-            layers: Vec::new(),
-            stats: MlpEngineStats::default(),
-        }
+        MlpEngine { nfp: *config, layers: Vec::new(), stats: MlpEngineStats::default() }
     }
 
     /// Stage the weights of `mlp` into the engine's weight SRAM.
@@ -100,8 +95,7 @@ impl MlpEngine {
         }
         let mut cur = input.to_vec();
         let n_layers = self.layers.len();
-        let mac_rows = self.mac_rows;
-        let mac_cols = self.mac_cols;
+        let mac_rows = self.nfp.mac_rows as usize;
         let mut macs = 0u64;
         let mut passes = 0u64;
         let mut cycles = 0u64;
@@ -110,9 +104,7 @@ impl MlpEngine {
             // The array computes tiles of mac_rows outputs x mac_cols
             // inputs per cycle; iterating k-tiles in increasing order
             // keeps the accumulation order identical to the reference.
-            let row_tiles = layer.rows.div_ceil(mac_rows);
-            let col_tiles = layer.cols.div_ceil(mac_cols);
-            for rt in 0..row_tiles {
+            for rt in 0..layer.rows.div_ceil(mac_rows) {
                 let row_end = ((rt + 1) * mac_rows).min(layer.rows);
                 for (r, slot) in next[rt * mac_rows..row_end].iter_mut().enumerate() {
                     let r = rt * mac_rows + r;
@@ -126,9 +118,9 @@ impl MlpEngine {
             }
             macs += (layer.rows * layer.cols) as u64;
             passes += 1;
-            // One batch element occupies the array for row_tiles x
-            // col_tiles cycles per layer (64x64 MACs fire per cycle).
-            cycles += (row_tiles * col_tiles) as u64;
+            // One batch element occupies the array for one cycle per
+            // tile of the layer (64x64 MACs fire per cycle).
+            cycles += layer_tile_cycles(layer.rows, layer.cols, &self.nfp);
             layer.activation.apply_slice(&mut next);
             cur = next;
         }
@@ -143,11 +135,8 @@ impl MlpEngine {
     /// time over the whole batch (intermediate activations stay in the
     /// dedicated SRAM).
     pub fn batch_cycles(&self, n: u64) -> u64 {
-        let per_query: u64 = self
-            .layers
-            .iter()
-            .map(|l| (l.rows.div_ceil(self.mac_rows) * l.cols.div_ceil(self.mac_cols)) as u64)
-            .sum();
+        let per_query: u64 =
+            self.layers.iter().map(|l| layer_tile_cycles(l.rows, l.cols, &self.nfp)).sum();
         let pipeline_fill = 8;
         n * per_query.max(1) + pipeline_fill
     }

@@ -28,8 +28,9 @@ pub enum AcceleratedKernel {
 /// The constants are the paper's published NGPC-64 values divided by 64;
 /// the engine cycle models in [`crate::engine`] reproduce their *shape*
 /// (MLP > encoding for hash/dense; low-res encoding far ahead thanks to
-/// its 8-wide input parallelism) and are cross-validated against
-/// `ng-timeloop` for the MLP engine.
+/// its 8-wide input parallelism). The MLP engine's tile cycles equal
+/// `ng-timeloop`'s best mapping exactly on every swept MAC array
+/// (`tests/paper_reproduction.rs`).
 pub fn per_nfp_kernel_speedup(encoding: EncodingKind, kernel: AcceleratedKernel) -> f64 {
     let (enc64, mlp64) = match encoding {
         EncodingKind::MultiResHashGrid => (246.0, 1232.0),

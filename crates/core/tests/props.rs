@@ -137,7 +137,7 @@ proptest! {
     }
 
     #[test]
-    fn default_layer_mapping_equals_legacy_tile_model(
+    fn tile_cycles_equal_legacy_tile_model(
         mac_rows in 1u32..=1024,
         mac_cols in 1u32..=1024,
         engines in 1u32..=64,
@@ -147,12 +147,11 @@ proptest! {
         sram_kb in 4usize..4096,
         clock in 0.1f64..5.0,
     ) {
-        // ISSUE-10 acceptance: the pluggable default mapping reproduces
-        // the legacy `rows.div_ceil(mac_rows) * cols.div_ceil(mac_cols)`
-        // tile model bit-exactly for every valid NfpConfig — both at the
-        // per-layer level and through the fused per-query interval.
-        use ngpc::emulator::{mlp_layer_shapes, per_sample_cycles, per_sample_cycles_with};
-        use ngpc::{FixedTiling, LayerMapping};
+        // The shared tile formula reproduces the legacy
+        // `rows.div_ceil(mac_rows) * cols.div_ceil(mac_cols)` tile model
+        // bit-exactly for every layer shape on every valid NfpConfig.
+        use ngpc::emulator::mlp_layer_shapes;
+        use ngpc::layer_tile_cycles;
         let nfp = NfpConfig {
             mac_rows,
             mac_cols,
@@ -167,15 +166,10 @@ proptest! {
         for enc in EncodingKind::ALL {
             for app in ng_neural::apps::AppKind::ALL {
                 for (rows, cols) in mlp_layer_shapes(app, enc) {
-                    let legacy = (rows.div_ceil(mac_rows as usize)
-                        * cols.div_ceil(mac_cols as usize)) as f64;
-                    prop_assert_eq!(FixedTiling.layer_cycles(rows, cols, &nfp), legacy);
+                    let legacy =
+                        (rows.div_ceil(mac_rows as usize) * cols.div_ceil(mac_cols as usize)) as u64;
+                    prop_assert_eq!(layer_tile_cycles(rows, cols, &nfp), legacy);
                 }
-                prop_assert_eq!(
-                    per_sample_cycles_with(app, enc, &nfp, &FixedTiling),
-                    per_sample_cycles(app, enc, &nfp),
-                    "{}/{}", app, enc
-                );
             }
         }
     }

@@ -100,21 +100,6 @@ FAULT INJECTION (deterministic chaos testing):
                          `shard:torn-tail`, `ledger:io@p=0.05`,
                          `append:enospc`, `signal:term@point=5`
 
-MAPPING SEARCH (joint mapping search through timeloop-lite):
-    --map-search         per candidate MAC array, search the best
-                         mapping of every MLP layer with ng-timeloop,
-                         re-evaluate each point under the winners, and
-                         report/emit fixed-vs-searched columns (the
-                         point rows themselves are untouched — the
-                         plain CSV stays byte-identical). Each distinct
-                         (MAC array, layer) problem is searched once
-                         per run
-    --check-map-agreement
-                         exit non-zero if ng-timeloop's mapping
-                         evaluation and ngpc's tile model disagree by
-                         more than the ~7% cross-validation band on any
-                         point (the CI gate; implies --map-search)
-
 OUTPUT:
     --top N              frontier rows to print (default: 16)
     --per-app            also print each app's own Pareto frontier
@@ -132,7 +117,7 @@ EXIT CODES (shared by every mode; a check's code is read by CI):
     0    success
     1    run failed (I/O, bad spec file content, failed paper check)
     2    usage or spec mistake — retrying the same invocation cannot help
-    4    a check (trace --check, --check-map-agreement) found defects
+    4    a check (trace --check) found defects
     130  drained gracefully after SIGINT/SIGTERM; `dse resume` finishes the job
     131  hard exit on a second signal before the drain finished
 ";
@@ -179,8 +164,6 @@ struct Cli {
     csv: Option<String>,
     json: Option<String>,
     check_headline: bool,
-    map_search: bool,
-    check_map_agreement: bool,
     trace: Option<String>,
     faults: Option<String>,
     metrics: bool,
@@ -219,8 +202,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         csv: None,
         json: None,
         check_headline: false,
-        map_search: false,
-        check_map_agreement: false,
         trace: None,
         faults: None,
         metrics: false,
@@ -273,11 +254,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--csv" => cli.csv = Some(value(arg)?),
             "--json" => cli.json = Some(value(arg)?),
             "--check-headline" => cli.check_headline = true,
-            "--map-search" => cli.map_search = true,
-            "--check-map-agreement" => {
-                cli.check_map_agreement = true;
-                cli.map_search = true;
-            }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
@@ -614,8 +590,6 @@ fn run_resume(args: &[String]) -> Result<(), CliError> {
         csv: manifest.csv.clone(),
         json: manifest.json_out.clone(),
         check_headline: false,
-        map_search: manifest.map_search,
-        check_map_agreement: false,
         trace: None,
         faults: None,
         metrics: false,
@@ -726,7 +700,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
                 m.threads = cli.threads;
                 m.csv = cli.csv.clone();
                 m.json_out = cli.json.clone();
-                m.map_search = cli.map_search;
                 m.max_area = cli.constraints.max_area_pct;
                 m.max_power = cli.constraints.max_power_pct;
                 m.min_speedup = cli.constraints.min_speedup;
@@ -774,9 +747,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
         }
     };
     finish_job_done(&mut job, outcome.points.len());
-    // The `--map-search` side table, never mutating the points —
-    // everything downstream is byte-identical with the flag off.
-    let annotations = cli.map_search.then(|| ng_dse::annotate(&outcome.points));
     // The cross-app fold and the constrained frontier are computed
     // once, each its own stage; the report, the headline check and
     // the JSON emitter all read them.
@@ -791,9 +761,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
     {
         let _span = ng_obs::span("report");
         print_report(&outcome, &archs, &frontier, &cli.constraints, cli.top, cli.per_app);
-    }
-    if let Some(a) = &annotations {
-        println!("{}", a.headline());
     }
     if cli.cache_stats {
         println!("{}", ng_dse::report::cache_stats_line(&outcome));
@@ -816,18 +783,6 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
     }
     {
         let _span = ng_obs::span("check");
-        if cli.check_map_agreement {
-            let a = annotations.as_ref().expect("--check-map-agreement implies --map-search");
-            let disagreement = a.max_disagreement();
-            if disagreement > ng_dse::AGREEMENT_BAND {
-                return Err(check_err(format!(
-                    "--check-map-agreement: timeloop-vs-ngpc max disagreement {:.2}% exceeds \
-                     the {:.0}% cross-validation band",
-                    disagreement * 100.0,
-                    ng_dse::AGREEMENT_BAND * 100.0
-                )));
-            }
-        }
         let judge_headline =
             cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
         let headline =
@@ -853,15 +808,11 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
 
     let _span = (cli.csv.is_some() || cli.json.is_some()).then(|| ng_obs::span("emit"));
     if let Some(path) = &cli.csv {
-        write_atomically(path, |w| {
-            ng_dse::emit::write_points_csv(w, &outcome.points, annotations.as_ref())
-        })?;
+        write_atomically(path, |w| ng_dse::emit::write_points_csv(w, &outcome.points))?;
         println!("wrote {} points to {path}", outcome.points.len());
     }
     if let Some(path) = &cli.json {
-        write_atomically(path, |w| {
-            ng_dse::emit::write_outcome_json(w, &outcome, &frontier, annotations.as_ref())
-        })?;
+        write_atomically(path, |w| ng_dse::emit::write_outcome_json(w, &outcome, &frontier))?;
         println!("wrote outcome JSON to {path}");
     }
     Ok(())

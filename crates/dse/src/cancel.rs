@@ -21,10 +21,9 @@ use std::sync::Once;
 /// cannot help.
 pub const EXIT_USAGE: i32 = 2;
 
-/// Exit code when `dse trace --check` or `--check-map-agreement` found
-/// defects: the check itself ran fine, the artifact failed it.
-/// Distinct from [`EXIT_USAGE`] so CI can tell "bad invocation" from
-/// "bad result".
+/// Exit code when `dse trace --check` found defects: the check itself
+/// ran fine, the artifact failed it. Distinct from [`EXIT_USAGE`] so CI
+/// can tell "bad invocation" from "bad result".
 pub const EXIT_CHECK_FAILED: i32 = 4;
 
 /// Exit code after a graceful drain: SIGINT/SIGTERM was caught, every

@@ -9,7 +9,6 @@
 use std::fmt;
 use std::io::{self, Write};
 
-use crate::mapsearch::MapSearchOutcome;
 use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
 use crate::sweep::{ArchPoint, EvaluatedPoint, SweepOutcome};
 
@@ -85,49 +84,14 @@ pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
     })
 }
 
-/// The extra columns `--map-search` appends to every CSV row: the
-/// fixed-vs-searched MLP cycle comparison, the searched mapping's
-/// per-query energy, and the end-to-end speedup re-evaluated under the
-/// searched schedule.
-pub const MAP_CSV_COLUMNS: &str =
-    "fixed_mlp_cycles,searched_mlp_cycles,map_speedup,map_energy_uj,searched_speedup";
-
 /// Stream evaluated points as CSV into `w`: the header, then one row
-/// per point, each field written straight into the writer. With
-/// `annotations` (the `--map-search` side table) the header gains
-/// [`MAP_CSV_COLUMNS`] and every row its five mapping fields;
-/// `annotations.metrics` must be index-aligned with `points` (which
-/// [`crate::mapsearch::annotate`] guarantees). Floats use
+/// per point, each field written straight into the writer. Floats use
 /// shortest-round-trip `Display`, so a parse reproduces every value.
-pub fn write_points_csv(
-    w: &mut impl Write,
-    points: &[EvaluatedPoint],
-    annotations: Option<&MapSearchOutcome>,
-) -> io::Result<()> {
-    match annotations {
-        None => {
-            writeln!(w, "{CSV_HEADER}")?;
-            for p in points {
-                write_point_row(w, p)?;
-                w.write_all(b"\n")?;
-            }
-        }
-        Some(a) => {
-            assert_eq!(points.len(), a.metrics.len(), "annotation side table misaligned");
-            writeln!(w, "{CSV_HEADER},{MAP_CSV_COLUMNS}")?;
-            for (p, m) in points.iter().zip(&a.metrics) {
-                write_point_row(w, p)?;
-                writeln!(
-                    w,
-                    ",{},{},{},{},{}",
-                    m.fixed_mlp_cycles,
-                    m.searched_mlp_cycles,
-                    m.map_speedup(),
-                    m.energy_uj,
-                    m.speedup,
-                )?;
-            }
-        }
+pub fn write_points_csv(w: &mut impl Write, points: &[EvaluatedPoint]) -> io::Result<()> {
+    writeln!(w, "{CSV_HEADER}")?;
+    for p in points {
+        write_point_row(w, p)?;
+        w.write_all(b"\n")?;
     }
     Ok(())
 }
@@ -142,18 +106,7 @@ fn emit_to_string(emit: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
 /// Render evaluated points as CSV (header + one row per point):
 /// [`write_points_csv`] into a `String`.
 pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
-    emit_to_string(|w| write_points_csv(w, points, None))
-}
-
-/// [`points_to_csv`] with the `--map-search` side table joined on: the
-/// plain [`CSV_HEADER`] plus [`MAP_CSV_COLUMNS`], one annotated row per
-/// point. A warm (100 % memo hit) re-run reproduces a cold run's
-/// output byte-for-byte.
-pub fn points_to_csv_with_mapping(
-    points: &[EvaluatedPoint],
-    annotations: &MapSearchOutcome,
-) -> String {
-    emit_to_string(|w| write_points_csv(w, points, Some(annotations)))
+    emit_to_string(|w| write_points_csv(w, points))
 }
 
 /// Parse [`points_to_csv`] output (used by the evaluation cache).
@@ -234,14 +187,8 @@ fn write_slug_list<T: Copy>(
     w.write_all(b"]")
 }
 
-/// One point's JSON object; with `mapping`, the `--map-search`
-/// side-table fields (same extra columns as [`MAP_CSV_COLUMNS`]) are
-/// joined on after the point's own.
-fn write_json_point(
-    w: &mut impl Write,
-    p: &EvaluatedPoint,
-    mapping: Option<&crate::mapsearch::MapMetrics>,
-) -> io::Result<()> {
+/// One point's JSON object.
+fn write_json_point(w: &mut impl Write, p: &EvaluatedPoint) -> io::Result<()> {
     let d = &p.point;
     write!(
         w,
@@ -250,7 +197,7 @@ fn write_json_point(
          \"mac_rows\":{},\"mac_cols\":{},\"lanes_per_engine\":{},\"input_fifo_depth\":{},\
          \"speedup\":{},\
          \"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{},\"gpu_ms\":{},\"ngpc_frame_ms\":{},\
-         \"amdahl_bound\":{},\"plateaued\":{}",
+         \"amdahl_bound\":{},\"plateaued\":{}}}",
         d.index,
         JsonStr(app_slug(d.app)),
         JsonStr(encoding_slug(d.encoding)),
@@ -271,20 +218,7 @@ fn write_json_point(
         JsonF64(p.ngpc_frame_ms),
         JsonF64(p.amdahl_bound),
         p.plateaued,
-    )?;
-    if let Some(m) = mapping {
-        write!(
-            w,
-            ",\"fixed_mlp_cycles\":{},\"searched_mlp_cycles\":{},\"map_speedup\":{},\
-             \"map_energy_uj\":{},\"searched_speedup\":{}",
-            JsonF64(m.fixed_mlp_cycles),
-            JsonF64(m.searched_mlp_cycles),
-            JsonF64(m.map_speedup()),
-            JsonF64(m.energy_uj),
-            JsonF64(m.speedup),
-        )?;
-    }
-    w.write_all(b"}")
+    )
 }
 
 fn write_json_arch(w: &mut impl Write, a: &ArchPoint) -> io::Result<()> {
@@ -339,18 +273,12 @@ fn write_json_spec(w: &mut impl Write, spec: &SweepSpec) -> io::Result<()> {
 
 /// Stream a full outcome — spec, stats, the cross-app `frontier`, and
 /// every point — into `w` as a single JSON document, one point per
-/// line. With `annotations` (the `--map-search` side table) the
-/// document gains a top-level `map_search` summary object and five
-/// mapping-derived fields on every point.
+/// line.
 pub fn write_outcome_json(
     w: &mut impl Write,
     outcome: &SweepOutcome,
     frontier: &[ArchPoint],
-    annotations: Option<&MapSearchOutcome>,
 ) -> io::Result<()> {
-    if let Some(a) = annotations {
-        assert_eq!(outcome.points.len(), a.metrics.len(), "annotation side table misaligned");
-    }
     w.write_all(b"{\n\"spec\":")?;
     write_json_spec(w, &outcome.spec)?;
     let s = &outcome.stats;
@@ -366,19 +294,6 @@ pub fn write_outcome_json(
         JsonF64(s.wall.as_secs_f64() * 1e3),
         JsonF64(s.points_per_sec()),
     )?;
-    if let Some(a) = annotations {
-        let (beats, best) = a.beats_fixed();
-        writeln!(
-            w,
-            "\"map_search\":{{\"evals\":{},\"memo_hits\":{},\"max_disagreement\":{},\
-             \"agreement_band\":{},\"beats_fixed\":{beats},\"best_map_speedup\":{}}},",
-            a.evals,
-            a.memo_hits,
-            JsonF64(a.max_disagreement()),
-            JsonF64(crate::mapsearch::AGREEMENT_BAND),
-            JsonF64(best),
-        )?;
-    }
     w.write_all(b"\"frontier\":[")?;
     for (i, a) in frontier.iter().enumerate() {
         if i > 0 {
@@ -391,7 +306,7 @@ pub fn write_outcome_json(
         if i > 0 {
             w.write_all(b",\n")?;
         }
-        write_json_point(w, p, annotations.map(|a| &a.metrics[i]))?;
+        write_json_point(w, p)?;
     }
     w.write_all(b"\n]\n}\n")
 }
@@ -400,18 +315,7 @@ pub fn write_outcome_json(
 /// frontier — as a single JSON document: [`write_outcome_json`] into a
 /// `String`.
 pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
-    emit_to_string(|w| write_outcome_json(w, outcome, frontier, None))
-}
-
-/// [`outcome_to_json`] with the `--map-search` side table joined on: a
-/// top-level `map_search` summary object plus five mapping-derived
-/// fields on every point.
-pub fn outcome_to_json_with_mapping(
-    outcome: &SweepOutcome,
-    frontier: &[ArchPoint],
-    annotations: &MapSearchOutcome,
-) -> String {
-    emit_to_string(|w| write_outcome_json(w, outcome, frontier, Some(annotations)))
+    emit_to_string(|w| write_outcome_json(w, outcome, frontier))
 }
 
 #[cfg(test)]
@@ -470,36 +374,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mapping_columns_extend_but_never_perturb_the_plain_formats() {
-        let outcome = outcome();
-        let annotations = crate::mapsearch::annotate(&outcome.points);
-        let plain = points_to_csv(&outcome.points);
-        let mapped = points_to_csv_with_mapping(&outcome.points, &annotations);
-        assert!(mapped.starts_with(&format!("{CSV_HEADER},{MAP_CSV_COLUMNS}\n")));
-        assert_eq!(mapped.lines().count(), plain.lines().count());
-        for (m, p) in mapped.lines().zip(plain.lines()).skip(1) {
-            assert!(m.starts_with(&format!("{p},")), "plain row must be a prefix: {m}");
-            assert_eq!(m.split(',').count(), p.split(',').count() + 5);
-        }
-
-        let frontier = outcome.cross_app_frontier(&crate::pareto::Constraints::NONE);
-        let json = outcome_to_json_with_mapping(&outcome, &frontier, &annotations);
-        assert!(json.contains("\"map_search\":{"));
-        assert!(json.contains("\"searched_speedup\":"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
-        }
-    }
-
     /// Every writer emitter produces exactly the bytes of its `String`
-    /// wrapper, plain and with the `--map-search` side table, also
-    /// through a buffer far smaller than one row (as the CLI streams
-    /// into a `BufWriter`).
+    /// wrapper, also through a buffer far smaller than one row (as the
+    /// CLI streams into a `BufWriter`).
     #[test]
     fn writer_emitters_match_their_string_wrappers_byte_for_byte() {
         let outcome = outcome();
-        let annotations = crate::mapsearch::annotate(&outcome.points);
         let frontier = outcome.cross_app_frontier(&Constraints::NONE);
         let written = |emit: &dyn Fn(&mut io::BufWriter<Vec<u8>>) -> io::Result<()>| {
             let mut w = io::BufWriter::with_capacity(7, Vec::new());
@@ -507,20 +387,12 @@ mod tests {
             String::from_utf8(w.into_inner().unwrap()).unwrap()
         };
         assert_eq!(
-            written(&|w| write_points_csv(w, &outcome.points, None)),
+            written(&|w| write_points_csv(w, &outcome.points)),
             points_to_csv(&outcome.points)
         );
         assert_eq!(
-            written(&|w| write_points_csv(w, &outcome.points, Some(&annotations))),
-            points_to_csv_with_mapping(&outcome.points, &annotations)
-        );
-        assert_eq!(
-            written(&|w| write_outcome_json(w, &outcome, &frontier, None)),
+            written(&|w| write_outcome_json(w, &outcome, &frontier)),
             outcome_to_json(&outcome, &frontier)
-        );
-        assert_eq!(
-            written(&|w| write_outcome_json(w, &outcome, &frontier, Some(&annotations))),
-            outcome_to_json_with_mapping(&outcome, &frontier, &annotations)
         );
     }
 

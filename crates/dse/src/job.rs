@@ -6,8 +6,8 @@
 //! drain. The manifest carries everything a resume needs to re-enter
 //! the *exact* run: the resolved spec as TOML (a byte-exact
 //! round-trip), the model fingerprint the results were computed under,
-//! the run mode and its flags (threads, output paths, constraints,
-//! `--map-search`), and a progress snapshot.
+//! the run mode and its flags (threads, output paths, constraints),
+//! and a progress snapshot.
 //!
 //! Resume needs no partial-result file of its own: the point store
 //! already holds every flushed point, so re-entering the run replays
@@ -126,9 +126,6 @@ pub struct JobManifest {
     pub max_power: Option<f64>,
     /// `--min-speedup` constraint.
     pub min_speedup: Option<f64>,
-    /// `--map-search`: annotate points with searched mappings on
-    /// resume too.
-    pub map_search: bool,
 }
 
 /// Where a store's job manifests live.
@@ -164,7 +161,6 @@ impl JobManifest {
             max_area: None,
             max_power: None,
             min_speedup: None,
-            map_search: false,
         }
     }
 
@@ -232,9 +228,6 @@ impl JobManifest {
         if let Some(v) = self.min_speedup {
             fields.push(format!("\"min_speedup\":{v}"));
         }
-        if self.map_search {
-            fields.push("\"map_search\":1".to_string());
-        }
         format!("{{{}}}\n", fields.join(","))
     }
 
@@ -269,6 +262,11 @@ impl JobManifest {
         let required_num = |name: &str| -> Result<u64, String> {
             int_field(name).ok_or_else(|| format!("manifest: missing `{name}`"))
         };
+        // A job of the removed `--map-search` flag: resuming it as a
+        // plain sweep would rewrite its CSV without the mapping columns.
+        if fields.iter().any(|(k, _)| k == "map_search") {
+            return Err("manifest: `map_search` jobs are no longer supported".to_string());
+        }
         let mode_str = required_str("mode")?;
         let status_str = required_str("status")?;
         Ok(JobManifest {
@@ -290,7 +288,6 @@ impl JobManifest {
             max_area: num_field("max_area"),
             max_power: num_field("max_power"),
             min_speedup: num_field("min_speedup"),
-            map_search: int_field("map_search").map(|n| n != 0).unwrap_or(false),
         })
     }
 
@@ -472,7 +469,6 @@ mod tests {
             max_area: Some(3.5),
             max_power: None,
             min_speedup: None,
-            map_search: true,
         };
         m.spec_toml.push_str("# trailing \"quoted\" comment\n");
         m
@@ -530,5 +526,10 @@ mod tests {
         let search = sample().to_json().replace("\"mode\":\"sweep\"", "\"mode\":\"search\"");
         let err = JobManifest::from_json(&search).unwrap_err();
         assert!(err.contains("unknown mode `search`"), "{err}");
+        // So is one left behind by a `--map-search` sweep, whose CSV a
+        // plain resume would rewrite without its mapping columns.
+        let mapped = sample().to_json().replace("}\n", ",\"map_search\":1}\n");
+        let err = JobManifest::from_json(&mapped).unwrap_err();
+        assert!(err.contains("map_search"), "{err}");
     }
 }

@@ -23,11 +23,6 @@
 //! * [`job`] + [`cancel`] — durable job manifests behind `dse resume`,
 //!   and the SIGINT/SIGTERM drain that flushes completed points to the
 //!   store before exiting.
-//! * [`mapsearch`] — the joint mapping search behind
-//!   `dse --map-search`: per-layer `ng-timeloop` mapping searches fed
-//!   back through the timing stack (and the Fig. 13 cross-validation
-//!   seam). Each search takes about a microsecond, so they run
-//!   in-process every time.
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
@@ -53,7 +48,6 @@ pub mod cache;
 pub mod cancel;
 pub mod emit;
 pub mod job;
-pub mod mapsearch;
 pub mod obs_counters;
 pub mod pareto;
 pub mod pool;
@@ -62,7 +56,6 @@ pub mod spec;
 pub mod sweep;
 
 pub use cache::EvalCache;
-pub use mapsearch::{annotate, MapMetrics, MapSearchOutcome, AGREEMENT_BAND, MAP_SEARCH_BATCH};
 pub use pareto::{pareto_indices, Constraints, Objectives, StreamingFrontier};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
 pub use sweep::{

@@ -92,15 +92,3 @@ hoisted!(
     /// Successful steals in the work-stealing pool.
     pool_steals => "pool.steals"
 );
-hoisted!(
-    /// Per-layer mapping searches actually run by `--map-search`
-    /// (in-run memo misses; each one enumerates the full mapspace).
-    mapsearch_evals => "mapsearch.evals"
-);
-hoisted!(
-    /// Per-layer mapping lookups served from the in-run memo without
-    /// a search. Invariant:
-    /// `mapsearch.evals + mapsearch.memo_hits` equals the number of
-    /// `(point, layer)` lookups `--map-search` performed.
-    mapsearch_memo_hits => "mapsearch.memo_hits"
-);

@@ -38,8 +38,8 @@ impl PeArray {
     /// [`ngpc::NfpConfig::floorplan`]) are the global buffer, and the
     /// register-file depth matches [`PeArray::nfp_mlp_engine`]. At the
     /// paper's NFP this reproduces `nfp_mlp_engine()` exactly — the
-    /// test below pins it — so `dse --map-search` and the standalone
-    /// Fig. 13 cross-validation map onto the same machine.
+    /// test below pins it — so the per-array tile cross-check and the
+    /// standalone Fig. 13 cross-validation map onto the same machine.
     pub fn from_nfp(nfp: &ngpc::NfpConfig) -> Self {
         let plan = nfp.floorplan();
         PeArray {

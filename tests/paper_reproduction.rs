@@ -144,6 +144,47 @@ fn emulator_against_timeloop_within_seven_percent() {
 }
 
 #[test]
+fn emulator_tiles_equal_timeloop_best_mapping_on_every_swept_array() {
+    // Stricter than the 7% band above: on every MAC array the DSE
+    // sweeps (plus odd, non-power-of-two ones), ng-timeloop's best
+    // mapping of every Table I layer costs exactly the fixed
+    // weight-stationary tiling the emulator charges. The full-array
+    // tile is always in the mapspace and nothing beats it, so a
+    // mapping search cannot move any point.
+    const BATCH: u64 = 4096;
+    let mut arrays: Vec<(u32, u32)> = vec![(3, 5), (48, 80), (100, 1000)];
+    for name in ["paper", "mac-arrays", "guided-lanes"] {
+        let spec = SweepSpec::preset(name).unwrap();
+        for &r in &spec.mac_rows {
+            arrays.extend(spec.mac_cols.iter().map(|&c| (r, c)));
+        }
+    }
+    arrays.sort_unstable();
+    arrays.dedup();
+    let mut shapes: Vec<(usize, usize)> = AppKind::ALL
+        .iter()
+        .flat_map(|&app| EncodingKind::ALL.map(|enc| ngpc::mlp_layer_shapes(app, enc)))
+        .flatten()
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    assert!(arrays.len() > 3 && shapes.len() > 1);
+    for &(mac_rows, mac_cols) in &arrays {
+        let nfp = NfpConfig { mac_rows, mac_cols, ..NfpConfig::default() };
+        for &(rows, cols) in &shapes {
+            let (problem, arch) = ng_timeloop::layer_problem(&nfp, rows, cols, BATCH);
+            let searched =
+                ng_timeloop::best_mapping(&problem, &arch, &ng_timeloop::EnergyTable::default());
+            assert_eq!(
+                searched.cost.cycles,
+                ngpc::layer_tile_cycles(rows, cols, &nfp) * BATCH,
+                "{rows}x{cols} layer on a {mac_rows}x{mac_cols} array"
+            );
+        }
+    }
+}
+
+#[test]
 fn amdahl_sanity_check_over_full_grid() {
     // The paper's own validation: reported speedup always under the
     // Amdahl-driven analytical bound.
