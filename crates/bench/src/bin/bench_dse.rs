@@ -23,7 +23,7 @@
 //! `ng-obs` counter deltas of its cold run (`counters_cold`) and the
 //! warm run's hit ratio, and the file closes with a `stage_profile_us`
 //! breakdown of where this process's wall time went (per span path) —
-//! the counter/stage snapshots the run ledger records, folded into the
+//! the counter/stage snapshots `dse --metrics` prints, folded into the
 //! perf trajectory. Since the robustness PR a `robustness_counters`
 //! block pins the degraded-append and job-manifest counters (normally
 //! all zero: a bench run that diverted rows to the in-memory overlay
@@ -139,9 +139,6 @@ fn baseline_cold_throughput(path: &str, preset: &str) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    // Honor NG_DSE_TRACE like the `dse` binary: tracing a bench run is
-    // how instrumentation overhead itself gets profiled.
-    ng_obs::sink::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut check_warm = false;
@@ -238,8 +235,8 @@ fn main() -> ExitCode {
         })
         .collect();
     // Where this process's wall time went, per span path — the same
-    // stage breakdown `dse trace` reconstructs from a ledger, taken
-    // from the in-process profile registry.
+    // stage breakdown `dse --metrics` prints, taken from the in-process
+    // profile registry.
     let stage_rows: Vec<String> = ng_obs::profile_snapshot()
         .iter()
         .map(|(path, s)| {

@@ -1,4 +1,4 @@
-//! # ng-bench — the benchmark harness
+//! # ng-bench — the paper's figure and table binaries
 //!
 //! One binary per table/figure of the paper's evaluation (run with
 //! `cargo run -p ng-bench --release --bin <name>`):
@@ -16,9 +16,9 @@
 //! | `fig15_area_power` | Fig. 15 (area/power vs RTX 3090) |
 //! | `table3_bandwidth` | Table III (NGPC bandwidth/access time) |
 //!
-//! Criterion benches (`cargo bench -p ng-bench`) measure the software
-//! substrate itself: encoding throughput, MLP inference, the hash/modulo
-//! ablation, the NFP engine models and the figure generators.
+//! `bench_dse` times the `dse` sweep pipeline itself (cold, warm and
+//! incremental runs against a fresh point store); the repository's
+//! benchmark (`perfbench/`) measures the substrate kernels.
 
 use std::fmt::Display;
 

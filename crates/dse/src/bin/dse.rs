@@ -9,7 +9,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -22,7 +22,6 @@ dse — NGPC design-space exploration with Pareto frontier extraction
 USAGE:
     dse [--preset NAME | --spec FILE.toml] [OPTIONS]
     dse resume [JOB] [--cache-dir DIR] [--quiet]
-    dse trace LEDGER.jsonl [--chrome OUT.json] [--check] [--min-coverage P]
 
 SPEC:
     --preset NAME        paper | quick | clocks | resolutions | mac-arrays |
@@ -55,24 +54,19 @@ EXECUTION:
                          cumulative shard lock-wait time
 
 OBSERVABILITY:
-    --trace PATH         record a JSONL run ledger (spans, counters)
-                         to PATH. Equivalent env: NG_DSE_TRACE
-    --metrics            print the in-process stage profile and counter
+    --trace PATH         record the run's spans, store retries and final
+                         counter values in memory and write them to PATH
+                         as one Chrome trace (chrome://tracing, Perfetto)
+                         when the run ends, overwriting PATH. The run
+                         first checks its own trace: unbalanced spans or
+                         sweep.cache_hits + sweep.fresh_evals !=
+                         sweep.points exit 4. A hard exit on a second
+                         signal (131) or a panic writes no trace
+    --metrics            print the in-process stage profile, its stage
+                         coverage of the `dse` root span and the counter
                          deltas to stderr after the run
     --quiet              suppress the live stderr progress line (stdout
                          output is byte-identical either way)
-
-    dse trace LEDGER     summarize a recorded ledger: per-stage profile
-                         table, per-process counters, balance/invariant
-                         verdict
-      --chrome OUT.json  also export the ledger as a Chrome trace
-                         (chrome://tracing, Perfetto)
-      --check            exit non-zero on unbalanced spans, counter
-                         invariant violations, or stage coverage < 95%
-                         of the root span's wall time
-      --min-coverage P   coverage floor (percent) for --check; default
-                         95. Use 0 on very short runs, where fixed
-                         startup costs dominate the root span
 
 GRACEFUL SHUTDOWN AND RESUME:
     The first SIGINT/SIGTERM drains the run: no new points are
@@ -97,8 +91,8 @@ FAULT INJECTION (deterministic chaos testing):
                          equivalent env: NG_DSE_FAULTS. PLAN is
                          `;`-separated faults, e.g.
                          `seed=7;append:io@p=0.01,n=3`,
-                         `shard:torn-tail`, `ledger:io@p=0.05`,
-                         `append:enospc`, `signal:term@point=5`
+                         `shard:torn-tail`, `append:enospc`,
+                         `signal:term@point=5`
 
 OUTPUT:
     --top N              frontier rows to print (default: 16)
@@ -117,7 +111,8 @@ EXIT CODES (shared by every mode; a check's code is read by CI):
     0    success
     1    run failed (I/O, bad spec file content, failed paper check)
     2    usage or spec mistake — retrying the same invocation cannot help
-    4    a check (trace --check) found defects
+    4    a check found defects (--trace: unbalanced spans or a broken
+         counter invariant)
     130  drained gracefully after SIGINT/SIGTERM; `dse resume` finishes the job
     131  hard exit on a second signal before the drain finished
 ";
@@ -297,6 +292,10 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             _ => unreachable!("override flags are filtered above"),
         }
     }
+    // Validate the merged spec here, so a bad override exits as a usage
+    // mistake before any job manifest is written.
+    cli.spec.validate().map_err(|e| e.to_string())?;
+    cli.constraints.validate()?;
     Ok(Some(cli))
 }
 
@@ -361,140 +360,6 @@ fn finish_job_done(job: &mut Option<ng_dse::job::JobManifest>, delivered: usize)
             eprintln!("dse: could not update job manifest {} ({e})", j.id);
         }
     }
-}
-
-/// `dse trace LEDGER.jsonl`: summarize a recorded run ledger — the
-/// per-stage profile, per-process counters, and the balance/invariant
-/// verdict — with optional Chrome trace export and CI-gate mode.
-fn run_trace(args: &[String]) -> Result<(), CliError> {
-    let mut ledger_path: Option<String> = None;
-    let mut chrome: Option<String> = None;
-    let mut check = false;
-    let mut min_coverage = 95.0_f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            "--chrome" => {
-                chrome = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage_err("--chrome needs a path".to_string()))?,
-                )
-            }
-            "--check" => check = true,
-            "--min-coverage" => {
-                let pct = it
-                    .next()
-                    .ok_or_else(|| usage_err("--min-coverage needs a percent".to_string()))?;
-                min_coverage = pct
-                    .parse()
-                    .map_err(|_| usage_err(format!("--min-coverage: `{pct}` is not a number")))?;
-            }
-            other if !other.starts_with("--") && ledger_path.is_none() => {
-                ledger_path = Some(other.to_string())
-            }
-            other => {
-                return Err(usage_err(format!("trace: unexpected argument `{other}` (try --help)")))
-            }
-        }
-    }
-    let path =
-        ledger_path.ok_or_else(|| usage_err("trace: need a LEDGER.jsonl path".to_string()))?;
-    let ledger = ng_obs::Ledger::read(Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
-    let verdict = ledger.check();
-
-    let pids: std::collections::BTreeSet<u64> =
-        ledger.events.iter().filter_map(|e| e.num_field("pid")).collect();
-    println!(
-        "ledger {path}: {} events from {} process(es), {} skipped line(s)",
-        ledger.events.len(),
-        pids.len(),
-        ledger.skipped_lines
-    );
-
-    let profile = ledger.profile();
-    if profile.is_empty() {
-        println!("no spans recorded");
-    } else {
-        let root_total = verdict.root.as_ref().map(|(_, t)| *t).unwrap_or(0);
-        let rows: Vec<Vec<String>> = profile
-            .iter()
-            .map(|s| {
-                let share = if root_total > 0 {
-                    format!("{:.1}", 100.0 * s.total_us as f64 / root_total as f64)
-                } else {
-                    "-".to_string()
-                };
-                vec![
-                    s.path.clone(),
-                    s.calls.to_string(),
-                    format!("{:.2}", s.total_us as f64 / 1000.0),
-                    format!("{:.2}", s.self_us as f64 / 1000.0),
-                    share,
-                ]
-            })
-            .collect();
-        print!(
-            "\n{}",
-            ng_dse::report::render_table(
-                &["stage", "calls", "total ms", "self ms", "% of root"],
-                &rows
-            )
-        );
-    }
-
-    let counters = ledger.final_counters();
-    if !counters.is_empty() {
-        println!("\ncounters (final cumulative value per process):");
-        for ((pid, name), val) in &counters {
-            println!("  pid {pid}  {name} = {val}");
-        }
-    }
-
-    println!();
-    match verdict.root {
-        Some((ref root, total)) => println!(
-            "root span: {root} ({:.2} ms); stage coverage {:.1}%",
-            total as f64 / 1000.0,
-            100.0 * verdict.coverage
-        ),
-        None => println!("root span: none recorded"),
-    }
-    if verdict.unbalanced.is_empty() {
-        println!("spans: balanced");
-    } else {
-        println!("spans: UNBALANCED — {}", verdict.unbalanced.join(", "));
-    }
-    if verdict.invariant_violations.is_empty() {
-        println!(
-            "counter invariant (hits + fresh == points): holds for {} sweeping process(es)",
-            verdict.sweeping_pids
-        );
-    } else {
-        for v in &verdict.invariant_violations {
-            println!("counter invariant VIOLATED: {v}");
-        }
-    }
-
-    if let Some(out) = chrome {
-        let trace = ledger.chrome_trace();
-        write_atomically(&out, |w| w.write_all(trace.as_bytes()))?;
-        println!("wrote Chrome trace to {out} (load in chrome://tracing or Perfetto)");
-    }
-    if check && !verdict.ok(min_coverage / 100.0) {
-        return Err(check_err(format!(
-            "trace --check failed: coverage {:.1}% (need >= {min_coverage}%), \
-             {} unbalanced span(s), {} invariant violation(s)",
-            100.0 * verdict.coverage,
-            verdict.unbalanced.len(),
-            verdict.invariant_violations.len()
-        )));
-    }
-    Ok(())
 }
 
 /// `dse resume [JOB]`: re-enter an interrupted (or crashed) job from
@@ -615,6 +480,10 @@ fn print_metrics(before: &ng_obs::CounterSnapshot) {
         })
         .collect();
     eprint!("{}", ng_dse::report::render_table(&["stage", "calls", "total ms", "self ms"], &rows));
+    if let Some((_, root)) = profile.iter().find(|(path, _)| path == "dse") {
+        let covered = 1.0 - root.self_us as f64 / root.total_us.max(1) as f64;
+        eprintln!("stage coverage {:.1}% of dse", 100.0 * covered);
+    }
     eprintln!("\n-- counters (growth this run) --");
     let delta = ng_obs::counter::snapshot().delta_since(before);
     if delta.is_empty() {
@@ -628,14 +497,10 @@ fn print_metrics(before: &ng_obs::CounterSnapshot) {
 fn run(args: &[String]) -> Result<(), CliError> {
     // The watcher is installed before any work: the first
     // SIGINT/SIGTERM drains, the second hard-exits (see
-    // `ng_dse::cancel`). Subcommands that never evaluate points keep
-    // the default die-on-signal semantics by simply never checking the
-    // token.
+    // `ng_dse::cancel`).
     ng_dse::cancel::install_signal_watcher();
-    match args.first().map(String::as_str) {
-        Some("trace") => return run_trace(&args[1..]),
-        Some("resume") => return run_resume(&args[1..]),
-        _ => {}
+    if args.first().map(String::as_str) == Some("resume") {
+        return run_resume(&args[1..]);
     }
     let Some(cli) = parse_args(args).map_err(usage_err)? else { return Ok(()) };
     run_parsed(&cli, None)
@@ -645,12 +510,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// root span, mode dispatch, counter flush. `resumed` carries the job
 /// manifest when entered through `dse resume`.
 fn run_parsed(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), CliError> {
-    // Recording starts before the root span so the ledger sees every
+    // Recording starts before the root span so the trace sees every
     // event.
-    if let Some(path) = &cli.trace {
-        ng_obs::sink::enable(path).map_err(|e| format!("--trace {path}: {e}"))?;
-    } else {
-        ng_obs::sink::init_from_env();
+    if cli.trace.is_some() {
+        ng_obs::trace::start();
     }
     // Arm the fault plan before any injection point can fire.
     if let Some(plan) = &cli.faults {
@@ -664,13 +527,54 @@ fn run_parsed(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<()
         let _root = ng_obs::span("dse");
         run_mode(cli, resumed)
     };
-    // The root span is closed: flush final counter values, then the
-    // optional in-process summary.
-    ng_obs::emit_counters();
+    // The root span is closed: the optional in-process summary, then
+    // the trace, on every path that returns (a drain included).
     if cli.metrics {
         print_metrics(&counters_before);
     }
-    result
+    match &cli.trace {
+        Some(path) => finish_trace(path, result),
+        None => result,
+    }
+}
+
+/// Check the recorded trace, then write it to `path` as Chrome JSON.
+/// A defect (unbalanced spans, hits + fresh evaluations != points)
+/// fails an otherwise successful run with exit 4, as does a write
+/// failure with exit 1; a run that already failed keeps its own exit
+/// code and reports both on stderr. A failed run (a drain included)
+/// skips the counter invariant, since it may deliver fewer points than
+/// it counted.
+fn finish_trace(path: &str, result: Result<(), CliError>) -> Result<(), CliError> {
+    let mut defects: Vec<String> = ng_obs::trace::unbalanced()
+        .into_iter()
+        .map(|(tid, what)| format!("tid {tid}: {what}"))
+        .collect();
+    use ng_dse::obs_counters::{sweep_cache_hits, sweep_fresh_evals, sweep_points};
+    let (points, hits, fresh) =
+        (sweep_points().get(), sweep_cache_hits().get(), sweep_fresh_evals().get());
+    if result.is_ok() && hits + fresh != points {
+        defects.push(format!(
+            "sweep.cache_hits ({hits}) + sweep.fresh_evals ({fresh}) != sweep.points ({points})"
+        ));
+    }
+    let written = write_atomically(path, ng_obs::trace::write_chrome_trace);
+    match result {
+        Ok(()) => {
+            written?;
+            if defects.is_empty() {
+                Ok(())
+            } else {
+                Err(check_err(format!("--trace {path}: {}", defects.join("; "))))
+            }
+        }
+        Err(e) => {
+            for d in defects.iter().chain(written.as_ref().err()) {
+                eprintln!("dse: --trace {path}: {d}");
+            }
+            Err(e)
+        }
+    }
 }
 
 /// Everything between the `dse` root span's open and close: mode

@@ -265,7 +265,7 @@ impl EvalCache {
             });
             if retries > 0 {
                 obs_counters::store_retries().add(retries as u64);
-                // The backoff site, in the ledger: a deterministic
+                // The backoff site, in the trace: a deterministic
                 // fault seed must reproduce not just the retry *count*
                 // but *where* the backoff was spent
                 // (tests/fault_determinism.rs pins both).

@@ -21,9 +21,10 @@ use std::sync::Once;
 /// cannot help.
 pub const EXIT_USAGE: i32 = 2;
 
-/// Exit code when `dse trace --check` found defects: the check itself
-/// ran fine, the artifact failed it. Distinct from [`EXIT_USAGE`] so CI
-/// can tell "bad invocation" from "bad result".
+/// Exit code when a run's self-check found defects (`--trace`:
+/// unbalanced spans or a broken counter invariant): the run itself
+/// ran fine, its own record failed the check. Distinct from
+/// [`EXIT_USAGE`] so CI can tell "bad invocation" from "bad result".
 pub const EXIT_CHECK_FAILED: i32 = 4;
 
 /// Exit code after a graceful drain: SIGINT/SIGTERM was caught, every

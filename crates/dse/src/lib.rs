@@ -26,9 +26,9 @@
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
-//!   `dse --trace PATH` (or `NG_DSE_TRACE`) records a JSONL run ledger,
-//!   `dse trace PATH` summarizes one, and `dse --metrics` prints the
-//!   in-process profile and counters after any run.
+//!   `dse --trace PATH` writes the run as a Chrome trace, and
+//!   `dse --metrics` prints the in-process profile, its stage coverage
+//!   and the counters after any run.
 //!
 //! ## Quickstart
 //!

@@ -5,8 +5,8 @@
 //! declared here once, behind a `OnceLock`: the first use pays the
 //! registry lookup, every later use is a static deref plus one relaxed
 //! `fetch_add`. Centralising the names also makes them greppable — the
-//! ledger checks in `ng_obs::ledger` and the `--metrics` summary key
-//! off these exact strings.
+//! `dse --trace` self-check and the `--metrics` summary key off these
+//! exact strings.
 
 use std::sync::OnceLock;
 
@@ -32,8 +32,8 @@ hoisted!(
 );
 hoisted!(
     /// Points that had to be evaluated. Invariant (checked by
-    /// `ng_obs::Ledger::check`): `sweep.cache_hits + sweep.fresh_evals
-    /// == sweep.points` per process.
+    /// `dse --trace` before it writes the trace):
+    /// `sweep.cache_hits + sweep.fresh_evals == sweep.points`.
     sweep_fresh_evals => "sweep.fresh_evals"
 );
 hoisted!(

@@ -61,6 +61,23 @@ impl Constraints {
     pub fn is_constrained(&self) -> bool {
         self != &Constraints::NONE
     }
+
+    /// Reject bounds that are not finite or below zero: a NaN, negative
+    /// or infinite bound admits nothing (or everything) and would
+    /// silently print an empty frontier.
+    pub fn validate(&self) -> Result<(), String> {
+        let bounds = [
+            ("max_area_pct", self.max_area_pct),
+            ("max_power_pct", self.max_power_pct),
+            ("min_speedup", self.min_speedup),
+        ];
+        for (name, bound) in bounds {
+            if let Some(b) = bound.filter(|b| !b.is_finite() || *b < 0.0) {
+                return Err(format!("constraint `{name}` must be finite and >= 0, got {b}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Indices (ascending) of the non-dominated points of `objectives`.

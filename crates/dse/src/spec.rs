@@ -335,9 +335,10 @@ impl SweepSpec {
             * self.input_fifo_depth.len()
     }
 
-    /// Check the sweep is non-empty and every axis value is one the
-    /// emulator accepts.
+    /// Check the sweep is non-empty, every axis value is one the
+    /// emulator accepts, and every constraint bound is finite and >= 0.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.constraints.validate().map_err(SpecError::Invalid)?;
         let axes: [(&str, bool); 12] = [
             ("apps", self.apps.is_empty()),
             ("encodings", self.encodings.is_empty()),
@@ -984,6 +985,39 @@ mod tests {
             spec.validate(),
             Err(SpecError::Invalid("axis `mac_rows` is empty".to_string()))
         );
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_or_negative_constraints() {
+        // Each bad bound would filter the frontier down to nothing (or
+        // admit everything) without a word; the spec layer refuses it.
+        type Mutator = fn(&mut Constraints);
+        let cases: [(&str, Mutator, &str); 5] = [
+            ("nan area", |c| c.max_area_pct = Some(f64::NAN), "max_area_pct"),
+            ("negative area", |c| c.max_area_pct = Some(-5.0), "max_area_pct"),
+            ("infinite power", |c| c.max_power_pct = Some(f64::INFINITY), "max_power_pct"),
+            ("infinite speedup", |c| c.min_speedup = Some(f64::INFINITY), "min_speedup"),
+            ("negative speedup", |c| c.min_speedup = Some(-0.5), "min_speedup"),
+        ];
+        for (what, mutate, name) in cases {
+            let mut spec = SweepSpec::quick();
+            mutate(&mut spec.constraints);
+            match spec.validate() {
+                Err(SpecError::Invalid(m)) => assert!(m.contains(name), "{what}: {m}"),
+                other => panic!("{what}: expected Invalid, got {other:?}"),
+            }
+        }
+        // Zero bounds are legal (if strict), as are finite positive ones.
+        let mut spec = SweepSpec::quick();
+        spec.constraints = Constraints {
+            max_area_pct: Some(0.0),
+            max_power_pct: Some(5.0),
+            min_speedup: Some(0.0),
+        };
+        spec.validate().unwrap();
+        // A spec file's bound goes through the same check.
+        let err = SweepSpec::from_toml_str("[constraints]\nmax_area_pct = nan\n").unwrap_err();
+        assert!(matches!(err, SpecError::Invalid(ref m) if m.contains("max_area_pct")), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::process::Command;
 fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.args(args);
-    cmd.env_remove("NG_DSE_FAULTS").env_remove("NG_DSE_TRACE");
+    cmd.env_remove("NG_DSE_FAULTS");
     for (k, v) in envs {
         cmd.env(k, v);
     }

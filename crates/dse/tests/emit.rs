@@ -20,7 +20,6 @@ fn csv_onto_a_directory_fails_naming_the_path_and_leaves_no_temp_file() {
     let out = Command::new(env!("CARGO_BIN_EXE_dse"))
         .args(["--preset", "quick", "--no-cache", "--quiet", "--csv", &target_s])
         .env_remove("NG_DSE_FAULTS")
-        .env_remove("NG_DSE_TRACE")
         .output()
         .expect("dse runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -57,7 +56,6 @@ fn streamed_csv_and_json_match_the_in_memory_emitters() {
         .arg("--json")
         .arg(&json_path)
         .env_remove("NG_DSE_FAULTS")
-        .env_remove("NG_DSE_TRACE")
         .output()
         .expect("dse runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));

@@ -1,6 +1,6 @@
 //! Deterministic fault replay (ISSUE 9): the same fault seed must
 //! reproduce the same run, down to the retry counter and the exact
-//! backoff sites recorded in the ledger — otherwise a seeded fault
+//! backoff sites recorded in the trace — otherwise a seeded fault
 //! plan could not replay a failure.
 
 use std::fs;
@@ -16,9 +16,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// One seeded faulted run in a fresh store: returns the
 /// `store.retries` growth reported by `--metrics` and the sequence of
-/// `store.retry` backoff-site messages from the run ledger.
+/// `store.retry` backoff-site messages from the run's Chrome trace.
 fn seeded_run(dir: &std::path::Path, plan: &str) -> (u64, Vec<String>) {
-    let trace = dir.join("trace.jsonl");
+    let trace = dir.join("trace.json");
     let out = Command::new(env!("CARGO_BIN_EXE_dse"))
         .args([
             "--preset",
@@ -32,8 +32,6 @@ fn seeded_run(dir: &std::path::Path, plan: &str) -> (u64, Vec<String>) {
             "--trace",
             &trace.display().to_string(),
         ])
-        .env_remove("NG_DSE_FAULTS")
-        .env_remove("NG_DSE_TRACE")
         .env("NG_DSE_FAULTS", plan)
         .output()
         .expect("dse runs");
@@ -49,16 +47,17 @@ fn seeded_run(dir: &std::path::Path, plan: &str) -> (u64, Vec<String>) {
         .trim()
         .parse()
         .expect("counter value parses");
-    // The ledger's backoff-site events, in emission order: which shard
-    // retried, how many times. `"v":"shard 3: 2 retried append
-    // attempt(s)"` — keep just the message.
+    // The trace's backoff-site instants, in emission order (one event
+    // per line): which shard retried, how many times.
+    // `"args":{"v":"shard 3: 2 retried append attempt(s)"}` — keep just
+    // the message.
     let sites: Vec<String> = fs::read_to_string(&trace)
-        .expect("ledger written")
+        .expect("trace written")
         .lines()
-        .filter(|l| l.contains("\"k\":\"store.retry\""))
+        .filter(|l| l.contains("\"name\":\"store.retry\"") && l.contains("\"ph\":\"i\""))
         .map(|l| {
-            let v = l.find("\"v\":\"").expect("meta event has a value") + 5;
-            l[v..l.rfind('"').unwrap()].to_string()
+            let v = l.find("\"v\":\"").expect("instant has a value") + 5;
+            l[v..v + l[v..].find('"').unwrap()].to_string()
         })
         .collect();
     (retries, sites)
@@ -78,7 +77,7 @@ fn same_fault_seed_reproduces_retries_and_backoff_sites() {
 
     assert!(retries_a > 0, "the plan must actually inject (else this test checks nothing)");
     assert_eq!(retries_a, retries_b, "same seed, same store.retries");
-    assert!(!sites_a.is_empty(), "retried appends must name their backoff site in the ledger");
+    assert!(!sites_a.is_empty(), "retried appends must name their backoff site in the trace");
     assert_eq!(sites_a, sites_b, "same seed, same backoff sites in the same order");
 
     // A different seed shifts where the injections land — the proof

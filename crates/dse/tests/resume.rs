@@ -12,9 +12,9 @@ use std::process::Command;
 fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.args(args);
-    // A fault plan or trace path leaking in from the invoking shell
-    // would change what this test measures.
-    cmd.env_remove("NG_DSE_FAULTS").env_remove("NG_DSE_TRACE");
+    // A fault plan leaking in from the invoking shell would change
+    // what this test measures.
+    cmd.env_remove("NG_DSE_FAULTS");
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -96,4 +96,30 @@ fn resume_on_an_empty_store_is_a_usage_error() {
     assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE));
     assert!(err.contains("no resumable job"), "{err}");
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A bad axis override or constraint bound is a usage mistake (exit 2)
+/// caught before the job manifest is written, so it can never become
+/// the "newest resumable job" a bare `dse resume` would pick up.
+#[test]
+fn bad_cli_overrides_exit_2_before_writing_a_job() {
+    for bad in [
+        ["--engines", "0"],
+        ["--clocks", "9"],
+        ["--banks", "3"],
+        ["--max-area", "nan"],
+        ["--max-area", "-5"],
+        ["--min-speedup", "inf"],
+    ] {
+        let dir = tmpdir("bad-override");
+        let store = dir.join("store").display().to_string();
+        let (_, err, code) =
+            dse(&["--preset", "quick", "--cache-dir", &store, "--quiet", bad[0], bad[1]], &[]);
+        assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE), "{bad:?}:\n{err}");
+        assert!(!dir.join("store").join("jobs").exists(), "{bad:?} wrote a job manifest");
+        let (_, err, code) = dse(&["resume", "--cache-dir", &store], &[]);
+        assert_eq!(code, Some(ng_dse::cancel::EXIT_USAGE), "{bad:?}: resume:\n{err}");
+        assert!(err.contains("no resumable job"), "{bad:?}: resume:\n{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -1,14 +1,16 @@
-//! End-to-end checks of the observability surface (ISSUE 6): a traced
-//! quick-preset run must produce a balanced, invariant-satisfying
-//! ledger; `dse trace` must summarize and export it; and the progress
-//! meter must never leak into stdout (`--quiet` byte-parity).
+//! End-to-end checks of the observability surface: `--trace` writes a
+//! Chrome trace whose spans balance and whose counters satisfy the
+//! cache-accounting invariant, on a clean run and on a drained one;
+//! `--metrics` reports the stage coverage of the `dse` root span; and
+//! the progress meter never leaks into stdout (`--quiet` byte-parity).
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, bool) {
+fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
-    cmd.args(args).env_remove(ng_obs::sink::TRACE_ENV).env_remove(ng_obs::progress::PROGRESS_ENV);
+    cmd.args(args).env_remove("NG_DSE_FAULTS").env_remove(ng_obs::progress::PROGRESS_ENV);
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -16,7 +18,7 @@ fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, bool) {
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code(),
     )
 }
 
@@ -24,96 +26,191 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ng-dse-trace-{tag}-{}", std::process::id()))
 }
 
+/// The trace's events, one per line as the writer renders them.
+fn trace_events(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    assert!(text.starts_with("[\n") && text.ends_with("\n]\n"), "not a JSON array:\n{text}");
+    text.lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| l.trim_end_matches(',').to_string())
+        .collect()
+}
+
+/// The value of `"key":"..."` in an event (values here carry no
+/// escaped quotes).
+fn str_field<'a>(event: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let start = event.find(&pat)? + pat.len();
+    Some(&event[start..start + event[start..].find('"')?])
+}
+
+/// The value of `"key":N` in an event.
+fn num_field(event: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let start = event.find(&pat)? + pat.len();
+    let digits: String = event[start..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
+}
+
+/// Replay `B`/`E` events per tid; returns every defect found.
+fn unbalanced(events: &[String]) -> Vec<String> {
+    let mut stacks: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    let mut defects = Vec::new();
+    for e in events {
+        let (Some(ph), Some(tid), Some(path)) =
+            (str_field(e, "ph"), num_field(e, "tid"), str_field(e, "path"))
+        else {
+            continue;
+        };
+        let stack = stacks.entry(tid).or_default();
+        match ph {
+            "B" => stack.push(path),
+            "E" if stack.last() == Some(&path) => {
+                stack.pop();
+            }
+            _ => defects.push(format!("tid {tid}: {ph} {path}")),
+        }
+    }
+    defects.extend(stacks.values().flatten().map(|p| format!("open: {p}")));
+    defects
+}
+
+/// The final value of counter `name` (`"ph":"C"` events).
+fn counter(events: &[String], name: &str) -> u64 {
+    events
+        .iter()
+        .find(|e| str_field(e, "ph") == Some("C") && str_field(e, "name") == Some(name))
+        .and_then(|e| num_field(e, "value"))
+        .unwrap_or_else(|| panic!("no `{name}` counter in the trace"))
+}
+
+/// The `stage coverage NN.N% of dse` line `--metrics` prints.
+fn stage_coverage(stderr: &str) -> f64 {
+    stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("stage coverage ")?.strip_suffix("% of dse"))
+        .unwrap_or_else(|| panic!("no stage coverage line:\n{stderr}"))
+        .parse()
+        .expect("coverage parses")
+}
+
 #[test]
-fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
-    let ledger_path = temp_path("quick.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
-    let ledger_s = ledger_path.display().to_string();
+fn traced_quick_run_writes_a_balanced_chrome_trace() {
+    let trace_path = temp_path("quick.json");
+    // The trace overwrites whatever was at the path.
+    std::fs::write(&trace_path, "stale bytes from an earlier run\n").unwrap();
+    let trace_s = trace_path.display().to_string();
 
-    let (out, err, ok) =
-        dse(&["--preset", "quick", "--no-cache", "--quiet", "--trace", &ledger_s], &[]);
-    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    let (out, err, code) =
+        dse(&["--preset", "quick", "--no-cache", "--quiet", "--trace", &trace_s], &[]);
+    assert_eq!(code, Some(0), "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
 
-    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
-    assert_eq!(ledger.skipped_lines, 0, "ledger contains malformed lines");
-    let verdict = ledger.check();
-    assert!(verdict.unbalanced.is_empty(), "unbalanced spans: {:?}", verdict.unbalanced);
-    assert!(
-        verdict.invariant_violations.is_empty(),
-        "counter invariant violated: {:?}",
-        verdict.invariant_violations
-    );
-    assert!(verdict.sweeping_pids >= 1, "no process recorded sweep counters");
+    let events = trace_events(&trace_path);
+    assert!(events.iter().any(|e| e.contains("\"ph\":\"B\"")), "no span opens");
+    assert!(events.iter().any(|e| e.contains("\"ph\":\"E\"")), "no span closes");
+    assert_eq!(unbalanced(&events), Vec::<String>::new(), "spans do not balance");
+    let roots = events.iter().filter(|e| str_field(e, "path") == Some("dse")).count();
+    assert_eq!(roots, 2, "one root span open and close");
 
-    // Check the invariant directly from the raw counters too, rather
-    // than trusting the checker alone.
-    let counters = ledger.final_counters();
-    let get = |name: &str| {
-        counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
-    };
-    let points = get("sweep.points");
+    let points = counter(&events, "sweep.points");
     assert!(points > 0, "traced run evaluated no points");
     assert_eq!(
-        get("sweep.cache_hits") + get("sweep.fresh_evals"),
+        counter(&events, "sweep.cache_hits") + counter(&events, "sweep.fresh_evals"),
         points,
         "hits + fresh_evals != points"
     );
 
-    // The `dse trace --check` subcommand agrees, on its own exit code.
-    // The coverage floor is waived: on a sub-millisecond quick sweep,
-    // fixed startup costs dominate the root span (the >= 95% bar is
-    // enforced on the paper preset by the CI trace-smoke step).
-    let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
-    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
-    assert!(out.contains("spans: balanced"), "missing balance verdict:\n{out}");
-    assert!(out.contains("counter invariant"), "missing invariant verdict:\n{out}");
-    assert!(out.contains("root span: dse"), "missing root span line:\n{out}");
-
-    let _ = std::fs::remove_file(&ledger_path);
+    let _ = std::fs::remove_file(&trace_path);
 }
 
 #[test]
-fn trace_subcommand_exports_chrome_json() {
-    let ledger_path = temp_path("chrome.jsonl");
-    let chrome_path = temp_path("chrome.json");
-    let _ = std::fs::remove_file(&ledger_path);
-    let _ = std::fs::remove_file(&chrome_path);
-    let ledger_s = ledger_path.display().to_string();
-    let chrome_s = chrome_path.display().to_string();
-
-    let (out, err, ok) =
-        dse(&["--preset", "quick", "--no-cache", "--quiet", "--trace", &ledger_s], &[]);
-    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
-    let (out, err, ok) = dse(&["trace", &ledger_s, "--chrome", &chrome_s], &[]);
-    assert!(ok, "chrome export failed:\nstdout:\n{out}\nstderr:\n{err}");
-
-    let trace = std::fs::read_to_string(&chrome_path).expect("chrome trace written");
-    assert!(trace.trim_start().starts_with('['), "not a JSON array:\n{trace}");
-    assert!(trace.trim_end().ends_with(']'), "not a JSON array:\n{trace}");
-    assert!(trace.contains("\"ph\":\"B\"") && trace.contains("\"ph\":\"E\""));
-
-    let _ = std::fs::remove_file(&ledger_path);
-    let _ = std::fs::remove_file(&chrome_path);
+fn unwritable_trace_path_fails_the_run() {
+    let trace_path = temp_path("missing-dir").join("t.json");
+    let trace_s = trace_path.display().to_string();
+    let (_, err, code) =
+        dse(&["--preset", "quick", "--no-cache", "--quiet", "--trace", &trace_s], &[]);
+    assert_eq!(code, Some(1), "a trace that cannot be written fails like --csv:\n{err}");
+    assert!(err.contains("cannot write"), "{err}");
 }
 
-/// Spans match the stages they name: the CSV emit is its own `emit`
-/// stage directly under the root, not hidden inside `report`.
+/// A drained run still writes its trace, with every span closed.
 #[test]
-fn csv_emit_is_its_own_stage_outside_report() {
-    let ledger_path = temp_path("emit.jsonl");
-    let csv_path = temp_path("emit.csv");
-    let _ = std::fs::remove_file(&ledger_path);
-    let ledger_s = ledger_path.display().to_string();
+fn drained_run_writes_a_balanced_trace() {
+    let trace_path = temp_path("drain.json");
+    let store = temp_path("drain-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let trace_s = trace_path.display().to_string();
+    let store_s = store.display().to_string();
+
+    let (out, err, code) = dse(
+        &["--preset", "quick", "--cache-dir", &store_s, "--quiet", "--trace", &trace_s],
+        &[("NG_DSE_FAULTS", "signal:term@point=5")],
+    );
+    assert_eq!(
+        code,
+        Some(ng_dse::cancel::EXIT_INTERRUPTED),
+        "interrupted run must exit 130:\nstdout: {out}\nstderr: {err}"
+    );
+    let events = trace_events(&trace_path);
+    assert_eq!(unbalanced(&events), Vec::<String>::new(), "spans do not balance");
+    assert!(counter(&events, "sweep.points") > 0);
+
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// The named stages cover the paper sweep's wall time. The store stays
+/// on: with `--no-cache` the sweep is so short that fixed start-up
+/// costs outside any stage weigh several percent.
+#[test]
+fn paper_cold_store_stages_cover_the_run() {
+    let store = temp_path("paper-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let store_s = store.display().to_string();
+
+    let (out, err, code) =
+        dse(&["--preset", "paper", "--cache-dir", &store_s, "--quiet", "--metrics"], &[]);
+    assert_eq!(code, Some(0), "paper run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    let coverage = stage_coverage(&err);
+    assert!(coverage >= 95.0, "stages cover only {coverage}% of the paper run:\n{err}");
+
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Spans match the stages they name: on the exhaustive space the CSV
+/// emit is its own `emit` stage directly under the root, not hidden
+/// inside `report`, and the stages cover the run.
+#[test]
+fn exhaustive_csv_emit_is_its_own_stage_and_stages_cover_the_run() {
+    let trace_path = temp_path("lanes.json");
+    let csv_path = temp_path("lanes.csv");
+    let trace_s = trace_path.display().to_string();
     let csv_s = csv_path.display().to_string();
 
-    let (out, err, ok) = dse(
-        &["--preset", "quick", "--no-cache", "--quiet", "--trace", &ledger_s, "--csv", &csv_s],
+    let (out, err, code) = dse(
+        &[
+            "--preset",
+            "guided-lanes",
+            "--no-cache",
+            "--quiet",
+            "--metrics",
+            "--trace",
+            &trace_s,
+            "--csv",
+            &csv_s,
+        ],
         &[],
     );
-    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    assert_eq!(code, Some(0), "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    let coverage = stage_coverage(&err);
+    assert!(coverage >= 95.0, "stages cover only {coverage}% of the exhaustive run:\n{err}");
 
-    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
-    let paths: Vec<&str> = ledger.of_kind("sb").filter_map(|e| e.str_field("path")).collect();
+    let events = trace_events(&trace_path);
+    let paths: Vec<&str> = events
+        .iter()
+        .filter(|e| str_field(e, "ph") == Some("B"))
+        .filter_map(|e| str_field(e, "path"))
+        .collect();
     assert!(paths.contains(&"dse/report"), "no report span: {paths:?}");
     assert!(paths.contains(&"dse/emit"), "no emit span under the root: {paths:?}");
     assert!(
@@ -121,7 +218,7 @@ fn csv_emit_is_its_own_stage_outside_report() {
         "nothing may nest inside report: {paths:?}"
     );
 
-    let _ = std::fs::remove_file(&ledger_path);
+    let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&csv_path);
 }
 
@@ -132,13 +229,13 @@ fn csv_emit_is_its_own_stage_outside_report() {
 fn quiet_keeps_stdout_byte_identical() {
     let varying = |line: &&str| !line.starts_with("evaluation:");
 
-    let (loud, err, ok) =
+    let (loud, err, code) =
         dse(&["--preset", "quick", "--no-cache"], &[(ng_obs::progress::PROGRESS_ENV, "1")]);
-    assert!(ok, "run with meter failed:\n{err}");
+    assert_eq!(code, Some(0), "run with meter failed:\n{err}");
     assert!(err.contains('\r'), "forced-on meter never drew to stderr:\n{err}");
 
-    let (quiet, err, ok) = dse(&["--preset", "quick", "--no-cache", "--quiet"], &[]);
-    assert!(ok, "quiet run failed:\n{err}");
+    let (quiet, err, code) = dse(&["--preset", "quick", "--no-cache", "--quiet"], &[]);
+    assert_eq!(code, Some(0), "quiet run failed:\n{err}");
     assert!(!err.contains('\r'), "--quiet still drew a progress line:\n{err}");
 
     let loud: Vec<&str> = loud.lines().filter(varying).collect();

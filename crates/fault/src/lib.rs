@@ -5,7 +5,7 @@
 //! This crate makes that promise *testable*: a seeded [`FaultPlan`]
 //! (parsed from the [`FAULTS_ENV`] environment variable or
 //! `dse --faults`) arms injection sites threaded through the point
-//! store, the obs ledger sink and the evaluation loop — and CI asserts
+//! store and the evaluation loop — and CI asserts
 //! that a faulted run's CSV is byte-identical to the fault-free one.
 //!
 //! ## Plan syntax
@@ -16,7 +16,6 @@
 //! |-----------------------------|--------|
 //! | `seed=N`                    | seed for every probabilistic decision (default 0) |
 //! | `append:io@p=P[,n=N]`       | point-store shard appends fail with probability `P` (at most `N` injections) |
-//! | `ledger:io@p=P[,n=N]`       | JSONL ledger appends fail with probability `P` |
 //! | `shard:torn-tail[@n=N]`     | the first `N` (default 1) store appends write a torn final row and report success |
 //! | `append:enospc[@n=N]`       | point-store shard appends fail with a storage-exhaustion error (ENOSPC-shaped, never retried; at most `N` injections, default unlimited) |
 //! | `signal:term@point=N`       | the process raises SIGTERM against itself at its `N`-th evaluation tick — the drain path a real Ctrl-C / `kill` exercises |
@@ -46,13 +45,6 @@ pub enum Fault {
     /// Point-store shard appends fail with probability `p`, at most
     /// `times` injections (`None` = unlimited).
     AppendIo {
-        /// Per-append failure probability.
-        p: f64,
-        /// Injection cap.
-        times: Option<u64>,
-    },
-    /// JSONL ledger appends fail with probability `p`.
-    LedgerIo {
         /// Per-append failure probability.
         p: f64,
         /// Injection cap.
@@ -131,7 +123,6 @@ impl FaultPlan {
                     point: num("point")?
                         .ok_or_else(|| format!("faults: `{token}` needs point=N"))?,
                 },
-                ("ledger", "io") => Fault::LedgerIo { p: prob()?, times: num("n")? },
                 ("shard", "torn-tail") => Fault::TornTail { times: num("n")?.unwrap_or(1) },
                 _ => return Err(format!("faults: unknown fault `{token}`")),
             };
@@ -191,8 +182,6 @@ struct Injector {
     plan: FaultPlan,
     append_checks: AtomicU64,
     append_injected: AtomicU64,
-    ledger_checks: AtomicU64,
-    ledger_injected: AtomicU64,
     torn_injected: AtomicU64,
     enospc_injected: AtomicU64,
     signal_injected: AtomicU64,
@@ -206,8 +195,6 @@ impl Injector {
             plan,
             append_checks: AtomicU64::new(0),
             append_injected: AtomicU64::new(0),
-            ledger_checks: AtomicU64::new(0),
-            ledger_injected: AtomicU64::new(0),
             torn_injected: AtomicU64::new(0),
             enospc_injected: AtomicU64::new(0),
             signal_injected: AtomicU64::new(0),
@@ -384,22 +371,6 @@ pub fn store_append_exhaustion() -> Option<io::Error> {
     Some(injected_exhaustion_error("append:enospc"))
 }
 
-/// `ledger:io` — an injected error for a JSONL ledger append.
-pub fn ledger_append_error() -> Option<io::Error> {
-    let inj = injector()?;
-    io_site(
-        &inj.plan,
-        |f| match f {
-            Fault::LedgerIo { p, times } => Some((*p, *times)),
-            _ => None,
-        },
-        &inj.ledger_checks,
-        &inj.ledger_injected,
-        inj.plan.seed,
-        "ledger:io",
-    )
-}
-
 fn take_budgeted(
     faults: &FaultPlan,
     budget: impl Fn(&Fault) -> Option<u64>,
@@ -477,14 +448,13 @@ fn raise_sigterm() {
 #[cfg(not(unix))]
 fn raise_sigterm() {}
 
-/// How many faults of `site` (`append:io`, `ledger:io`, `torn-tail`,
+/// How many faults of `site` (`append:io`, `torn-tail`,
 /// `append:enospc`, `signal:term`) this process has injected — test
 /// observability.
 pub fn injected_count(site: &str) -> u64 {
     let Some(inj) = INJECTOR.get() else { return 0 };
     match site {
         "append:io" => inj.append_injected.load(Ordering::Relaxed),
-        "ledger:io" => inj.ledger_injected.load(Ordering::Relaxed),
         "torn-tail" => inj.torn_injected.load(Ordering::Relaxed),
         "append:enospc" => inj.enospc_injected.load(Ordering::Relaxed),
         "signal:term" => inj.signal_injected.load(Ordering::Relaxed),
@@ -519,7 +489,7 @@ pub fn is_retryable(e: &io::Error) -> bool {
 /// Run `f`, retrying transient failures up to [`MAX_RETRIES`] times
 /// with [`backoff_delay`] between attempts. Returns the final result
 /// plus how many retries were spent — callers feed that into their obs
-/// counters (`store.retries`, `ledger.retries`).
+/// counter (`store.retries`).
 pub fn with_retries<T>(site: &str, mut f: impl FnMut() -> io::Result<T>) -> (io::Result<T>, u32) {
     let salt = fnv1a64(site);
     let mut retries = 0;
@@ -542,7 +512,7 @@ mod tests {
     #[test]
     fn parses_every_documented_fault() {
         let plan = FaultPlan::parse(
-            "seed=7;append:io@p=0.01,n=3;ledger:io@p=0.5;shard:torn-tail;\
+            "seed=7;append:io@p=0.01,n=3;shard:torn-tail;\
              append:enospc@n=4;signal:term@point=6",
         )
         .unwrap();
@@ -551,7 +521,6 @@ mod tests {
             plan.faults,
             vec![
                 Fault::AppendIo { p: 0.01, times: Some(3) },
-                Fault::LedgerIo { p: 0.5, times: None },
                 Fault::TornTail { times: 1 },
                 Fault::AppendEnospc { times: Some(4) },
                 Fault::SignalTerm { point: 6 },

@@ -16,23 +16,17 @@
 //! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
 //!   thread-local stack tracks nesting, every span end folds into an
 //!   in-process profile (call counts, total vs. *self* time), and —
-//!   when recording is on — emits begin/end events to the ledger.
-//! * [`sink`] — the recording layer: a crash-safe append-only JSONL
-//!   event ledger using the same file discipline as the point store
-//!   (exclusive advisory lock per append, every write a whole
-//!   newline-terminated line, torn tails tolerated by readers).
-//!   Enabled by [`sink::enable`] (the `dse --trace` path) or the
-//!   `NG_DSE_TRACE` environment variable; a disabled sink costs one
-//!   relaxed atomic load per would-be event.
-//! * [`ledger`] — the read side: parse a ledger (tolerating a torn
-//!   final line), rebuild the per-stage profile, check span balance,
-//!   stage coverage and counter invariants, and export Chrome
-//!   `trace.json` for chrome://tracing.
-//!
-//! [`progress`] is the small extra: a single-line stderr meter that
-//! samples a counter in the background — long sweeps get a live
-//! `done/total (rate)` line without the evaluation loop knowing
-//! anything about terminals.
+//!   when recording is on — records begin/end events for the trace.
+//! * [`trace`] — the recorder: switched on by [`trace::start`] (the
+//!   `dse --trace` path), it buffers span and meta events in memory;
+//!   at exit [`trace::write_chrome_trace`] renders them with the final
+//!   counter values as one Chrome `trace.json`, and
+//!   [`trace::unbalanced`] reports spans that did not close in order.
+//!   While off, every would-be event costs one relaxed atomic load.
+//! * [`progress`] — a single-line stderr meter that samples a counter
+//!   in the background: long sweeps get a live `done/total (rate)`
+//!   line without the evaluation loop knowing anything about
+//!   terminals.
 //!
 //! ## Overhead budget
 //!
@@ -40,35 +34,21 @@
 //! looked up once and hoisted out of loops. Spans cost two
 //! `Instant::now` calls plus one short mutex section at end — they are
 //! meant for *stages* (a sweep's lookup/evaluate/append phases), never
-//! for per-point work. With recording off nothing touches a file; with
-//! recording on, span begin/end events each pay one
-//! locked append. The contract, guarded by `bench_dse
+//! for per-point work. With recording on, span begin/end events each
+//! add one push onto a mutex-guarded buffer; nothing touches a file
+//! until the run ends. The contract, guarded by `bench_dse
 //! --check-overhead`: tracing off must keep cold sweep throughput
 //! within noise of the tracked `BENCH_dse.json` trajectory.
 
 pub mod counter;
-pub mod ledger;
 pub mod progress;
-pub mod sink;
 pub mod span;
+pub mod trace;
 
 pub use counter::{counter, Counter, CounterSnapshot};
-pub use ledger::{Ledger, LedgerCheck, StageProfile};
 pub use progress::{stderr_wants_progress, Meter};
-pub use sink::{append_jsonl_line, emit_counters, emit_meta};
 pub use span::{profile_snapshot, span, SpanGuard};
-
-/// Microseconds since the UNIX epoch — the wall-clock timestamp every
-/// ledger event carries. Wall time (not a process-local monotonic
-/// anchor) so events from different *processes* sharing a ledger land on
-/// one comparable axis; durations, by contrast, are always measured
-/// with `Instant`.
-pub fn epoch_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
-}
+pub use trace::emit_meta;
 
 /// A small process-stable thread id for trace events (`ThreadId` has no
 /// stable numeric form): the first thread to ask is 0, the next 1, ...

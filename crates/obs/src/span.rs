@@ -9,15 +9,14 @@
 //! *self* time (total minus time spent in children) — the number that
 //! makes a profile sum to ~100% instead of double-counting nesting.
 //!
-//! When the [`crate::sink`] is recording, each span additionally emits
-//! an `sb` event at open and an `se` event (with measured duration) at
-//! close, so the ledger can rebuild the same profile offline, check
-//! that spans balance, and export a Chrome trace.
+//! When [`crate::trace`] is recording, each span also records a begin
+//! event at open and an end event at close, which the Chrome trace
+//! renders as a `B`/`E` pair.
 //!
 //! Spans are for *stages* — a sweep's lookup/evaluate/append phases,
 //! its cross-app fold and frontier — never per-point work; the
 //! per-call cost (two `Instant::now`s and a short mutex section at
-//! close, plus two locked file appends when recording) is trivial at
+//! close, plus two buffered events when recording) is trivial at
 //! stage granularity and ruinous at point granularity. Per-point
 //! visibility is what [`crate::counter`] is for.
 
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::sink;
+use crate::trace;
 
 struct Frame {
     /// `/`-joined path down to and including this span.
@@ -60,44 +59,43 @@ pub fn span(name: &'static str) -> SpanGuard {
         stack.push(Frame { path: path.clone(), start: Instant::now(), child_us: 0 });
         path
     });
-    sink::emit_span_begin(&path);
-    SpanGuard { armed: true }
+    trace::record_begin(&path);
+    SpanGuard { path }
 }
 
-/// Closes its span when dropped. Guards must drop in reverse open
-/// order (the natural result of lexical scoping); a guard that
-/// outlives a later-opened one would mis-attribute child time.
+/// Closes its span when dropped. Guards should drop in reverse open
+/// order (the natural result of lexical scoping). A guard dropped
+/// while a later-opened span is still live closes its own frame, not
+/// the innermost one, and the trace's balance check
+/// ([`crate::trace::unbalanced`]) flags the out-of-order close.
 #[must_use = "a span measures the extent of its guard — bind it with `let _s = span(..)`"]
 pub struct SpanGuard {
-    armed: bool,
+    path: String,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
         let closed = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let frame = stack.pop()?;
+            let at = stack.iter().rposition(|f| f.path == self.path)?;
+            let frame = stack.remove(at);
             let total_us = frame.start.elapsed().as_micros() as u64;
-            if let Some(parent) = stack.last_mut() {
+            if let Some(parent) = at.checked_sub(1).map(|i| &mut stack[i]) {
                 parent.child_us += total_us;
             }
-            Some((frame, total_us))
+            Some((frame.child_us, total_us))
         });
-        let Some((frame, total_us)) = closed else {
+        let Some((child_us, total_us)) = closed else {
             return;
         };
-        let self_us = total_us.saturating_sub(frame.child_us);
         {
             let mut profile = profile().lock().expect("span profile never poisoned");
-            let stat = profile.entry(frame.path.clone()).or_default();
+            let stat = profile.entry(self.path.clone()).or_default();
             stat.calls += 1;
             stat.total_us += total_us;
-            stat.self_us += self_us;
+            stat.self_us += total_us.saturating_sub(child_us);
         }
-        sink::emit_span_end(&frame.path, total_us);
+        trace::record_end(&self.path);
     }
 }
 
